@@ -4,9 +4,9 @@ Subcommands: rank, poly, count, verify, charzero {scan, lift}, gen.
 All numeric output carries exact integer counts (decimal strings)
 alongside the derived floats, so downstream tooling can recompute
 exactly. Exit codes: 0 success, 1 hard verification failure, 2 budget
-exceeded, 3 input error. Output is byte-identical for identical
-(input, config, seed) regardless of MULTIRANK_THREADS; wall-clock
-timings only appear under --timings.
+exceeded, 3 input or usage error. Output is byte-identical for
+identical (input, config, seed); wall-clock timings only appear under
+--timings.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field as dc_field
+from typing import Iterable
 
 from .errors import BudgetError, InputError
 from .field import FieldSpec, embed, make_field
@@ -60,16 +61,19 @@ def _emit(doc, fmt: str = "json", stream=None) -> None:
         raise InputError(f"unsupported format {fmt!r}")
 
 
-def _emit_lines(rows: list[dict], fmt: str, fields: list[str], stream=None) -> None:
+def _emit_lines(rows: Iterable[dict], fmt: str, fields: list[str], stream=None) -> None:
+    """One line per row, each flushed as soon as the row is produced."""
     stream = stream or sys.stdout
     if fmt == "json":
         for row in rows:
             json.dump(row, stream, sort_keys=True)
             stream.write("\n")
+            stream.flush()
     elif fmt == "csv":
         stream.write(",".join(fields) + "\n")
         for row in rows:
             stream.write(",".join(str(row[f]) for f in fields) + "\n")
+            stream.flush()
     else:
         raise InputError(f"unsupported format {fmt!r}")
 
@@ -138,10 +142,9 @@ def _cmd_poly(opt) -> int:
 def _cmd_count(opt) -> int:
     F = _load_finite_tensor(opt["tensor"])
     budget = opt["budget_bits"]
-    rows = []
-    for l in range(1, opt["lmax"] + 1):
-        counter = count_SF_naive if opt["naive"] else count_SF
-        rows.append({"l": l, "count": str(counter(F, l, budget))})
+    counter = count_SF_naive if opt["naive"] else count_SF
+    # a generator, so a budget stop at level k keeps the rows below k
+    rows = ({"l": l, "count": str(counter(F, l, budget))} for l in range(1, opt["lmax"] + 1))
     _emit_lines(rows, opt["format"], ["l", "count"])
     return EXIT_OK
 
@@ -310,7 +313,13 @@ def config_from_args(argv=None) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    return run(config_from_args(argv))
+    try:
+        config = config_from_args(argv)
+    except SystemExit as exc:
+        if exc.code == 2:  # argparse's usage-error code, which is EXIT_BUDGET here
+            return EXIT_INPUT
+        raise
+    return run(config)
 
 
 if __name__ == "__main__":

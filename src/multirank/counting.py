@@ -9,20 +9,18 @@ multiplied back by (Q-1)^(d-2); tuples containing a zero vector
 contribute a closed form. A literal full-enumeration counter is retained
 solely as a differential-testing oracle.
 
-Enumeration spaces are split into contiguous index chunks merged by exact
-integer addition, so results are identical for any worker count
-(MULTIRANK_THREADS). Budget gates raise BudgetError naming the offending
-exponent; nothing is silently truncated.
+Every counter is one serial loop over its enumeration space. Budget gates
+raise BudgetError naming the offending exponent; nothing is silently
+truncated.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import product
+from typing import Sequence
 
 from .errors import BudgetError
 from .field import FieldSpec, embed, kernel, make_field
@@ -32,27 +30,6 @@ DEFAULT_BUDGET_BITS = 28
 BOX_BUDGET_BITS = 34
 
 _NUMPY_SAFE = 1 << 62
-
-
-def worker_threads() -> int:
-    raw = os.environ.get("MULTIRANK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _chunked_sum(total: int, fn: Callable[[int, int], int], min_chunk: int = 4096) -> int:
-    """Sum fn(start, stop) over contiguous chunks covering range(total)."""
-    t = worker_threads()
-    if t <= 1 or total < 2 * min_chunk:
-        return fn(0, total)
-    nchunks = min(t * 4, max(1, total // min_chunk))
-    step = -(-total // nchunks)
-    spans = [(s, min(s + step, total)) for s in range(0, total, step)]
-    with ThreadPoolExecutor(max_workers=t) as ex:
-        partials = list(ex.map(lambda se: fn(*se), spans))
-    return sum(partials)
 
 
 # ---------------------------------------------------------------------------
@@ -240,60 +217,42 @@ def count_SF(F: MultilinearForm, l: int = 1,
                           hint="use a smaller l or raise the budget")
 
     pts = projective_points(Q, n)
-    P = len(pts)
     zero_tuples = Q ** (n * (d - 2)) - (Q ** n - 1) ** (d - 2)
     total = zero_tuples * Q ** n
-
+    proj_sum = 0
     if d == 3:
         blocks = [Fl.coeffs[i * n * n:(i + 1) * n * n] for i in range(n)]
         nn = n * n
         add, mul = K.add, K.mul
-
-        def chunk(start: int, stop: int) -> int:
-            acc = 0
-            for pi in range(start, stop):
-                v = pts[pi]
-                M = None
-                for j in range(n):
-                    x = v[j]
-                    if not x:
-                        continue
-                    bj = blocks[j]
-                    if M is None:
-                        M = list(bj) if x == 1 else [mul(x, c) for c in bj]
-                    elif x == 1:
-                        for k in range(nn):
-                            if bj[k]:
-                                M[k] = add(M[k], bj[k])
-                    else:
-                        for k in range(nn):
-                            if bj[k]:
-                                M[k] = add(M[k], mul(x, bj[k]))
-                if n == 2:
-                    det = K.sub(mul(M[0], M[3]), mul(M[1], M[2]))
-                    r = 2 if det else (1 if (M[0] or M[1] or M[2] or M[3]) else 0)
-                elif n == 3:
-                    r = _rank3_flat(M, K)
+        for v in pts:
+            M = None
+            for j in range(n):
+                x = v[j]
+                if not x:
+                    continue
+                bj = blocks[j]
+                if M is None:
+                    M = list(bj) if x == 1 else [mul(x, c) for c in bj]
+                elif x == 1:
+                    for k in range(nn):
+                        if bj[k]:
+                            M[k] = add(M[k], bj[k])
                 else:
-                    r = matrix_rank([M[i * n:(i + 1) * n] for i in range(n)], n, K)
-                acc += Q ** (n - r)
-            return acc
-
-        proj_sum = _chunked_sum(P, chunk)
+                    for k in range(nn):
+                        if bj[k]:
+                            M[k] = add(M[k], mul(x, bj[k]))
+            if n == 2:
+                det = K.sub(mul(M[0], M[3]), mul(M[1], M[2]))
+                r = 2 if det else (1 if (M[0] or M[1] or M[2] or M[3]) else 0)
+            elif n == 3:
+                r = _rank3_flat(M, K)
+            else:
+                r = matrix_rank([M[i * n:(i + 1) * n] for i in range(n)], n, K)
+            proj_sum += Q ** (n - r)
     else:
-        def chunk(start: int, stop: int) -> int:
-            acc = 0
-            for flat in range(start, stop):
-                t = flat
-                vecs = []
-                for _ in range(d - 2):
-                    t, r = divmod(t, P)
-                    vecs.append(pts[r])
-                M = Fl._contract_prefix(vecs)
-                acc += Q ** (n - matrix_rank([M[i * n:(i + 1) * n] for i in range(n)], n, K))
-            return acc
-
-        proj_sum = _chunked_sum(P ** (d - 2), chunk)
+        for vecs in product(pts, repeat=d - 2):
+            M = Fl._contract_prefix(vecs)
+            proj_sum += Q ** (n - matrix_rank([M[i * n:(i + 1) * n] for i in range(n)], n, K))
 
     return total + (Q - 1) ** (d - 2) * proj_sum
 
@@ -308,31 +267,11 @@ def count_SF_naive(F: MultilinearForm, l: int = 1,
     if bits > budget_bits:
         raise BudgetError("naive S_F enumeration q^(l*n*(d-1))", bits, budget_bits)
 
-    coeffs = Fl.coeffs
-    space = Q ** n
-
-    def chunk(start: int, stop: int) -> int:
-        acc = 0
-        for flat in range(start, stop):
-            t = flat
-            vecs = []
-            for _ in range(d - 1):
-                t, vi = divmod(t, space)
-                vec = []
-                for _ in range(n):
-                    vi, r = divmod(vi, Q)
-                    vec.append(r)
-                vecs.append(vec)
-            cur: Sequence[int] = coeffs
-            slots = d
-            for v in vecs:
-                cur = Fl._contract_first(cur, slots, v)
-                slots -= 1
-            if not any(cur):
-                acc += 1
-        return acc
-
-    return _chunked_sum(space ** (d - 1), chunk)
+    count = 0
+    for vecs in product(product(range(Q), repeat=n), repeat=d - 1):
+        if not any(Fl._contract_prefix(vecs)):
+            count += 1
+    return count
 
 
 def sf_profile(F: MultilinearForm, l_max: int,
@@ -376,35 +315,24 @@ def count_singular(f: HomogeneousForm, l: int = 1,
         raise BudgetError("singular locus enumeration q^(l*n)", bits, budget_bits)
     partials = [list(fl.partial(j).terms) for j in range(n)]
     mul, add, pw = K.mul, K.add, K.pow
-
-    def chunk(start: int, stop: int) -> int:
-        acc = 0
-        for flat in range(start, stop):
-            t = flat
-            point = []
-            for _ in range(n):
-                t, r = divmod(t, Q)
-                point.append(r)
-            ok = True
-            for terms in partials:
-                val = 0
-                for exp, c in terms:
-                    v = c
-                    for x, e in zip(point, exp):
-                        if e:
-                            if not x:
-                                v = 0
-                                break
-                            v = mul(v, pw(x, e))
-                    val = add(val, v)
-                if val:
-                    ok = False
-                    break
-            if ok:
-                acc += 1
-        return acc
-
-    return _chunked_sum(Q ** n, chunk)
+    count = 0
+    for point in product(range(Q), repeat=n):
+        for terms in partials:
+            val = 0
+            for exp, c in terms:
+                v = c
+                for x, e in zip(point, exp):
+                    if e:
+                        if not x:
+                            v = 0
+                            break
+                        v = mul(v, pw(x, e))
+                val = add(val, v)
+            if val:
+                break
+        else:
+            count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +366,11 @@ def _poly_add(a: Sequence[int], b: Sequence[int], K) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _decode_block(flat: int, n: int, deg: int, Q: int) -> list[tuple[int, ...]]:
-    """One vector of n polynomials with deg coefficients each."""
-    polys = []
-    for _ in range(n):
-        coeffs = []
-        for _ in range(deg):
-            flat, r = divmod(flat, Q)
-            coeffs.append(r)
-        polys.append(tuple(coeffs))
-    return polys
+def _blocks(digits: tuple[int, ...], nblocks: int, n: int,
+            deg: int) -> list[list[tuple[int, ...]]]:
+    """Cut flat digits into nblocks vectors of n polynomials, deg coefficients each."""
+    return [[digits[(k * n + j) * deg:(k * n + j + 1) * deg] for j in range(n)]
+            for k in range(nblocks)]
 
 
 def _contract_poly_first(flat: Sequence[Sequence[int]], slots: int, n: int,
@@ -505,28 +428,18 @@ def count_NR(F: MultilinearForm, R: int,
         raise BudgetError("polynomial-ring prefix enumeration", prefix_bits, budget_bits)
 
     deg_out = (d - 1) * (R - 1) + 1
-    block_space = q ** (n * R)
     unknowns = n * R
-
-    def chunk(start: int, stop: int) -> int:
-        acc = 0
-        for flat in range(start, stop):
-            t = flat
-            vecs = []
-            for _ in range(d - 2):
-                t, b = divmod(t, block_space)
-                vecs.append(_decode_block(b, n, R, q))
-            cur: Sequence[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
-            slots = d
-            for v in vecs:
-                cur = _contract_poly_first(cur, slots, n, v, K, None)
-                slots -= 1
-            rows = _last_block_system(cur, n, R, deg_out, None)
-            r = matrix_rank(rows, unknowns, K)
-            acc += q ** (unknowns - r)
-        return acc
-
-    return _chunked_sum(block_space ** (d - 2), chunk)
+    coeffs0: list[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
+    total = 0
+    for digits in product(range(q), repeat=unknowns * (d - 2)):
+        cur: Sequence[Sequence[int]] = coeffs0
+        slots = d
+        for v in _blocks(digits, d - 2, n, R):
+            cur = _contract_poly_first(cur, slots, n, v, K, None)
+            slots -= 1
+        rows = _last_block_system(cur, n, R, deg_out, None)
+        total += q ** (unknowns - matrix_rank(rows, unknowns, K))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -559,21 +472,14 @@ def count_fiber(F: MultilinearForm, a: int, b: int, y: Sequence,
         raise ValueError(f"fiber target coefficients must have length b = {b}")
 
     free = a - b
-    block_space = q ** (n * free)
     total = 0
     coeffs0: list[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
-    for flat in range(block_space ** (d - 1)):
-        t = flat
-        vecs = []
-        for kblk in range(d - 1):
-            t, bk = divmod(t, block_space)
-            z = _decode_block(bk, n, free, q)
-            vec = tuple(y[kblk][j] + z[j] for j in range(n))
-            vecs.append(vec)
+    for digits in product(range(q), repeat=(d - 1) * n * free):
         cur: Sequence[Sequence[int]] = coeffs0
         slots = d
-        for v in vecs:
-            cur = _contract_poly_first(cur, slots, n, v, K, a)
+        for yk, zk in zip(y, _blocks(digits, d - 1, n, free)):
+            vec = tuple(yj + zj for yj, zj in zip(yk, zk))
+            cur = _contract_poly_first(cur, slots, n, vec, K, a)
             slots -= 1
         if not any(any(p) for p in cur):
             total += 1
@@ -597,19 +503,14 @@ def fiber_counts(F: MultilinearForm, a: int, b: int,
     if bits > budget_bits:
         raise BudgetError("fiber space q^(n(d-1)a)", bits, budget_bits)
 
-    block_space = q ** (n * a)
     hist: dict[tuple, int] = {}
     coeffs0: list[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
 
     def reduce_key(polys: Sequence[Sequence[int]]) -> tuple:
         return tuple(tuple(p[s] if s < len(p) else 0 for s in range(b)) for p in polys)
 
-    for flat in range(block_space ** (d - 2)):
-        t = flat
-        prefix = []
-        for _ in range(d - 2):
-            t, bk = divmod(t, block_space)
-            prefix.append(_decode_block(bk, n, a, q))
+    for digits in product(range(q), repeat=n * a * (d - 2)):
+        prefix = _blocks(digits, d - 2, n, a)
         cur: Sequence[Sequence[int]] = coeffs0
         slots = d
         for v in prefix:
@@ -694,15 +595,13 @@ def _box_pure(G: IntMultilinearForm, box: BoxSpec, collect: bool):
 
 
 def _box_numpy(G: IntMultilinearForm, box: BoxSpec, collect: bool):
-    import itertools
-
     import numpy as np
 
     coords = box.coords()
     n = G.n
     L = box.modulus
     C = np.array(G.coeffs, dtype=np.int64).reshape((n, n, n))
-    pts = list(itertools.product(coords, repeat=n))
+    pts = list(product(coords, repeat=n))
     X = np.array(pts, dtype=np.int64)  # (P, n), row-major over coords
     P = X.shape[0]
     count = 0

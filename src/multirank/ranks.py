@@ -327,6 +327,39 @@ def _slice_certificate(F: MultilinearForm) -> tuple[RankOneTerm, ...]:
     return tuple(terms)
 
 
+def _deepen(tensors: Sequence[tuple[int, ...]], index: dict, target: tuple[int, ...],
+            cap: int, sub, what: str) -> list[int] | None:
+    """Fewest catalog terms summing to target, by iterative deepening up to cap.
+
+    Searches strictly increasing index sequences, depth 1 first, and returns
+    the first one found, or None. Nodes count across all depths against
+    SEARCH_NODE_LIMIT; BudgetError names the gate with what.
+    """
+    nterms = len(tensors)
+    nodes = 0
+
+    def search(tgt: tuple[int, ...], depth: int, min_idx: int):
+        nonlocal nodes
+        if depth == 1:
+            i = index.get(tgt)
+            return [i] if (i is not None and i >= min_idx) else None
+        for i in range(min_idx, nterms):
+            nodes += 1
+            if nodes > SEARCH_NODE_LIMIT:
+                raise BudgetError(what, math.log2(nodes), math.log2(SEARCH_NODE_LIMIT))
+            rem = tuple(sub(a, b) for a, b in zip(tgt, tensors[i]))
+            res = search(rem, depth - 1, i + 1)
+            if res is not None:
+                return [i] + res
+        return None
+
+    for depth in range(1, cap + 1):
+        found = search(target, depth, 0)
+        if found is not None:
+            return found
+    return None
+
+
 def prk_exact_small(F: MultilinearForm, r_max: int | None = None,
                     budget_bits: float = 24.0) -> PrkResult:
     """Exact partition rank by iterative deepening, with certificate.
@@ -344,36 +377,13 @@ def prk_exact_small(F: MultilinearForm, r_max: int | None = None,
     trivial = _slice_certificate(F)
     cap = len(trivial) if r_max is None else min(r_max, len(trivial))
     tensors, terms, index = rank_one_catalog(F.field, F.n, F.d, budget_bits)
-    K = kernel(F.field)
-    sub = K.sub
-    nterms = len(tensors)
-    nodes = 0
-
-    def search(target: tuple[int, ...], depth: int, min_idx: int):
-        nonlocal nodes
-        if depth == 1:
-            i = index.get(target)
-            return [i] if (i is not None and i >= min_idx) else None
-        for i in range(min_idx, nterms):
-            nodes += 1
-            if nodes > SEARCH_NODE_LIMIT:
-                raise BudgetError("partition-rank search nodes",
-                                  math.log2(nodes), math.log2(SEARCH_NODE_LIMIT))
-            ti = tensors[i]
-            rem = tuple(sub(a, b) for a, b in zip(target, ti))
-            res = search(rem, depth - 1, i + 1)
-            if res is not None:
-                return [i] + res
-        return None
-
-    target = F.coeffs
-    for r in range(1, cap + 1):
-        found = search(target, r, 0)
-        if found is not None:
-            cert = tuple(terms[i] for i in found)
-            if not verify_rank_one_certificate(F, cert):
-                raise RuntimeError("certificate failed re-verification")
-            return PrkResult(r, r, True, cert)
+    found = _deepen(tensors, index, F.coeffs, cap, kernel(F.field).sub,
+                    "partition-rank search nodes")
+    if found is not None:
+        cert = tuple(terms[i] for i in found)
+        if not verify_rank_one_certificate(F, cert):
+            raise RuntimeError("certificate failed re-verification")
+        return PrkResult(len(cert), len(cert), True, cert)
     # the slice decomposition lives in the catalog, so exhausting the full
     # cap is impossible; only an externally lowered r_max lands here
     if r_max is not None and r_max < len(trivial):
@@ -521,37 +531,15 @@ def str_exact_small(f: HomogeneousForm, budget_bits: float = 22.0) -> StrResult:
     if f.d < 2:
         raise ValueError("strength needs degree >= 2")
     tensors, terms, index, basis = product_catalog(f.field, f.n, f.d, budget_bits)
-    K = kernel(f.field)
-    sub = K.sub
     target = _poly_dense(f, basis)
     cap = sum(1 for v in target if v)  # every monomial splits off a variable
-    nterms = len(tensors)
-    nodes = 0
-
-    def search(tgt, depth, min_idx):
-        nonlocal nodes
-        if depth == 1:
-            i = index.get(tgt)
-            return [i] if (i is not None and i >= min_idx) else None
-        for i in range(min_idx, nterms):
-            nodes += 1
-            if nodes > SEARCH_NODE_LIMIT:
-                raise BudgetError("strength search nodes",
-                                  math.log2(nodes), math.log2(SEARCH_NODE_LIMIT))
-            rem = tuple(sub(a, b) for a, b in zip(tgt, tensors[i]))
-            res = search(rem, depth - 1, i + 1)
-            if res is not None:
-                return [i] + res
-        return None
-
-    for s in range(1, cap + 1):
-        found = search(target, s, 0)
-        if found is not None:
-            cert = tuple(terms[i] for i in found)
-            if not verify_strength_certificate(f, cert):
-                raise RuntimeError("certificate failed re-verification")
-            return StrResult(s, True, cert)
-    raise RuntimeError("monomial bound violated; unreachable")
+    found = _deepen(tensors, index, target, cap, kernel(f.field).sub, "strength search nodes")
+    if found is None:
+        raise RuntimeError("monomial bound violated; unreachable")
+    cert = tuple(terms[i] for i in found)
+    if not verify_strength_certificate(f, cert):
+        raise RuntimeError("certificate failed re-verification")
+    return StrResult(len(cert), True, cert)
 
 
 # ---------------------------------------------------------------------------

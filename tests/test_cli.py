@@ -284,6 +284,30 @@ def test_exit_codes_budget_and_input(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+def test_usage_errors_exit_input_not_budget(capsys):
+    assert main(["rank"]) == EXIT_INPUT  # --tensor missing
+    assert main(["count", "--tensor", "x.json", "--lmax", "two"]) == EXIT_INPUT
+    assert main(["no-such-subcommand"]) == EXIT_INPUT
+    assert "usage:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+def test_count_streams_rows_before_a_budget_stop(tmp_path, capsys):
+    # q = 2, n = 2, d = 3: level l needs 2l bits, so a 5-bit gate trips at l = 3
+    path = write_diag(tmp_path)
+    code, out = run_cli(["count", "--tensor", path, "--lmax", "4",
+                         "--budget-bits", "5", "--format", "csv"], capsys)
+    assert code == EXIT_BUDGET
+    assert out.splitlines() == ["l,count", "1,9", "2,49"]
+    code, out = run_cli(["count", "--tensor", path, "--lmax", "4",
+                         "--budget-bits", "5"], capsys)
+    assert code == EXIT_BUDGET
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"count": "9", "l": 1}, {"count": "49", "l": 2}]
+
+
 def test_run_config_dispatch():
     cfg = config_from_args(["verify", "weil", "--seed", "17", "--grid", "small"])
     assert isinstance(cfg, RunConfig)

@@ -7,6 +7,8 @@ import math
 import os
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from multirank.errors import BudgetError
 from multirank.field import kernel, make_field
@@ -21,6 +23,7 @@ from multirank.counting import (
     count_SF_naive,
     count_singular,
     fiber_counts,
+    level_poly,
     matrix_rank,
     projective_points,
     sf_profile,
@@ -34,6 +37,7 @@ from multirank.tensor import (
     int_diagonal,
     random_form,
     random_int_form,
+    random_poly,
 )
 
 F2 = make_field(2, 1)
@@ -413,3 +417,64 @@ def test_matrix_rank_small():
     assert matrix_rank([r[:] for r in rows], 3, K) == 2
     rows = [[1, 0, 0], [2, 1, 0], [3, 4, 1]]
     assert matrix_rank([r[:] for r in rows], 3, K) == 3
+
+
+# -- property tests: every rewritten loop against an independent count ---------
+
+FIELDS = {2: F2, 3: F3, 4: make_field(2, 2)}
+
+
+@st.composite
+def small_forms(draw, max_log_space=12):
+    """(F, extra): a random form over q in {2, 3, 4}, n <= 2, d in {3, 4}."""
+    q = draw(st.sampled_from(sorted(FIELDS)))
+    n = draw(st.integers(1, 2))
+    d = draw(st.sampled_from((3, 4)))
+    F = random_form(FIELDS[q], d, n, draw(st.integers(0, 2 ** 32 - 1)))
+    # the largest degree bound whose full space q^(n(d-1)R) stays small
+    rmax = max(1, int(max_log_space / (n * (d - 1) * math.log2(q))))
+    return F, draw(st.integers(1, min(rmax, 3)))
+
+
+@seed(20241001)
+@settings(max_examples=60, deadline=None)
+@given(small_forms())
+def test_count_sf_matches_naive_property(case):
+    F, _ = case
+    assert count_SF(F) == count_SF_naive(F)
+
+
+@seed(20241002)
+@settings(max_examples=40, deadline=None)
+@given(small_forms(max_log_space=10))
+def test_count_nr_matches_naive_property(case):
+    F, R = case
+    assert count_NR(F, R) == naive_count_NR(F, R)
+
+
+@seed(20241003)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.integers(1, 2), st.sampled_from((3, 4)),
+       st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+def test_count_singular_matches_direct_evaluation_property(q, n, d, l, s):
+    f = random_poly(FIELDS[q], d, n, s)
+    fl = level_poly(f, l)
+    grad = [fl.partial(j) for j in range(n)]
+    direct = sum(1 for pt in itertools.product(range(q ** l), repeat=n)
+                 if not any(g.evaluate_index(pt) for g in grad))
+    assert count_singular(f, l) == direct
+
+
+@seed(20241004)
+@settings(max_examples=40, deadline=None)
+@given(small_forms(max_log_space=8), st.data())
+def test_fiber_counts_match_count_fiber_property(case, data):
+    F, a = case
+    b = data.draw(st.integers(0, a))
+    q, n, d = F.field.q, F.n, F.d
+    hist = fiber_counts(F, a, b)
+    targets = itertools.product(itertools.product(itertools.product(range(q), repeat=b),
+                                                  repeat=n), repeat=d - 1)
+    for y in targets:
+        assert count_fiber(F, a, b, y) == hist.get(y, 0)
+    assert sum(hist.values()) == count_fiber(F, a, 0, zero_fiber_target(F, 0))
