@@ -4,7 +4,8 @@ Subcommands: rank, poly, count, verify, charzero {scan, lift}, gen.
 All numeric output carries exact integer counts (decimal strings)
 alongside the derived floats, so downstream tooling can recompute
 exactly. Exit codes: 0 success, 1 hard verification failure, 2 budget
-exceeded, 3 input or usage error. Output is byte-identical for
+exceeded, 3 input or usage error, 4 internal error (a certificate or
+invariant check failed). Output is byte-identical for
 identical (input, config, seed); wall-clock timings only appear under
 --timings.
 """
@@ -44,6 +45,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILURE = 1
 EXIT_BUDGET = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -301,6 +303,9 @@ def run(config: RunConfig) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def config_from_args(argv=None) -> RunConfig:

@@ -9,6 +9,13 @@ multiplied back by (Q-1)^(d-2); tuples containing a zero vector
 contribute a closed form. A literal full-enumeration counter is retained
 solely as a differential-testing oracle.
 
+The integer box sieves apply the same idea: enumerate the first d-2
+blocks of the height box, contract each prefix to the n x n system of
+the last block, and solve it exactly. Its solutions mod L (or over Z)
+form a lattice, whose Hermite normal form, in Python integers, is walked
+coordinate by coordinate in ascending order. The literal scan
+`_box_pure` is kept as the differential oracle.
+
 Every counter is one serial loop over its enumeration space. Budget gates
 raise BudgetError naming the offending exponent; nothing is silently
 truncated.
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -28,8 +36,6 @@ from .tensor import HomogeneousForm, IntMultilinearForm, MultilinearForm, base_c
 
 DEFAULT_BUDGET_BITS = 28
 BOX_BUDGET_BITS = 34
-
-_NUMPY_SAFE = 1 << 62
 
 
 # ---------------------------------------------------------------------------
@@ -594,46 +600,149 @@ def _box_pure(G: IntMultilinearForm, box: BoxSpec, collect: bool):
     return count, sols
 
 
-def _box_numpy(G: IntMultilinearForm, box: BoxSpec, collect: bool):
-    import numpy as np
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = gcd(a, b), for nonzero a and b."""
+    g = math.gcd(a, b)
+    m = abs(b) // g
+    x = pow(a // g, -1, m) if m > 1 else 0
+    return g, x, (g - x * a) // b
 
-    coords = box.coords()
-    n = G.n
-    L = box.modulus
-    C = np.array(G.coeffs, dtype=np.int64).reshape((n, n, n))
-    pts = list(product(coords, repeat=n))
-    X = np.array(pts, dtype=np.int64)  # (P, n), row-major over coords
-    P = X.shape[0]
-    count = 0
-    sols: list[tuple[int, ...]] = []
-    for i1 in range(P):
-        M = np.tensordot(C, X[i1], axes=([0], [0]))  # M[j2, i]
-        vals = X @ M  # (P, n)
-        if L is None:
-            mask = ~vals.any(axis=1)
+
+def _fold(rows: list[list[int]], vals: list[int]) -> tuple[list[int] | None, int, list[list[int]]]:
+    """Unimodular row operations leaving one row with a nonzero value.
+
+    vals[k] is a linear function of rows[k] (one of its entries, or a dot
+    product). Returns that row and its value (None, 0 when every value is
+    0) and the other rows, whose values are now all 0; together they span
+    the same lattice as rows.
+    """
+    piv, pv, rest = None, 0, []
+    for r, v in zip(rows, vals):
+        if not v:
+            rest.append(r)
+        elif piv is None:
+            piv, pv = r, v
         else:
-            mask = ~(vals % L).any(axis=1)
-        c = int(np.count_nonzero(mask))
-        if c:
-            count += c
-            if collect:
-                x1 = tuple(int(v) for v in X[i1])
-                for i2 in np.nonzero(mask)[0]:
-                    sols.append(x1 + tuple(int(v) for v in X[i2]))
-    return count, sols
+            g, x, y = _xgcd(pv, v)
+            s, t = pv // g, v // g
+            piv, r = [x * a + y * b for a, b in zip(piv, r)], [s * b - t * a for a, b in zip(piv, r)]
+            pv = g
+            rest.append(r)
+    return piv, pv, rest
+
+
+def _solution_lattice(M: Sequence[int], n: int, L: int | None) -> list[list[int] | None]:
+    """Hermite normal form of {y in Z^n : sum_j y_j M[j*n + i] = 0 (mod L) for all i}.
+
+    Without L the equations hold over Z. Returns one entry per column: the
+    basis row with its pivot there (positive, zeros before it, entries of
+    earlier rows in that column reduced to [0, pivot)), or None when no
+    row pivots there.
+    """
+    if n == 1:
+        a = M[0]
+        if L is not None:
+            return [[L // math.gcd(a, L)]]
+        return [None if a else [1]]
+    gens = [[int(j == k) for j in range(n)] for k in range(n)]
+    for i in range(n):
+        a = M[i::n]
+        vals = [sum(map(operator.mul, a, gen)) for gen in gens]
+        if L is not None:
+            vals = [v % L for v in vals]
+        # restrict to the generators' combinations that satisfy equation i
+        piv, pv, gens = _fold(gens, vals)
+        if piv is not None and L is not None:
+            step = L // math.gcd(pv, L)
+            gens.append([step * u for u in piv])
+    basis: list[list[int] | None] = [None] * n
+    for col in range(n):
+        piv, h, gens = _fold(gens, [r[col] for r in gens])
+        if piv is None:
+            continue
+        if h < 0:
+            piv, h = [-u for u in piv], -h
+        for row in basis[:col]:
+            if row is not None and not 0 <= row[col] < h:
+                f = row[col] // h
+                row[:] = [u - f * v for u, v in zip(row, piv)]
+        basis[col] = piv
+    return basis
+
+
+def _lattice_box(basis: list[list[int] | None], lo: int, hi: int) -> list[tuple[int, ...]]:
+    """The lattice points y with lo <= y_j <= hi, in ascending lexicographic order.
+
+    Walks the coordinates in order: at a pivot column the admissible
+    values form one arithmetic progression, elsewhere the value is fixed by
+    the earlier choices.
+    """
+    n = len(basis)
+    out: list[tuple[int, ...]] = []
+
+    def walk(j: int, v: list[int], pre: tuple[int, ...]) -> None:
+        if j == n:
+            out.append(pre)
+            return
+        row, vj = basis[j], v[j]
+        if row is None:
+            if lo <= vj <= hi:
+                walk(j + 1, v, pre + (vj,))
+            return
+        h = row[j]
+        ys = range(lo + (vj - lo) % h, hi + 1, h)
+        if j + 1 == n:
+            out.extend([pre + (y,) for y in ys])
+            return
+        for y in ys:
+            c = (y - vj) // h
+            walk(j + 1, [u + c * r for u, r in zip(v, row)], pre + (y,))
+
+    walk(0, [0] * n, ())
+    return out
+
+
+def _box_lattice(G: IntMultilinearForm, box: BoxSpec, collect: bool):
+    """Same result as _box_pure: enumerate the first d-2 blocks, solve the last by HNF."""
+    coords = box.coords()
+    lo, hi, w = coords[0], coords[-1], len(coords)
+    n, L = G.n, box.modulus
+    pts = list(product(coords, repeat=n))
+    # with L | w every box side is a union of whole periods of a lattice
+    # containing L*Z^n, so each prefix contributes w^n / det(lattice)
+    periodic = not collect and L is not None and w % L == 0
+    sols: list[tuple[int, ...]] = []
+    # last-block answers by contracted system; M and -M share one
+    memo: dict[tuple[int, ...], list[tuple[int, ...]] | int] = {}
+
+    def solve(flat: Sequence[int], slots: int, head: tuple[int, ...]) -> int:
+        if slots > 2:
+            return sum(solve(G._contract_first(flat, slots, x), slots - 1, head + x)
+                       for x in pts)
+        key = tuple(flat)
+        got = memo.get(key)
+        if got is None:
+            got = memo.get(tuple(-c for c in flat))
+        if got is None:
+            basis = _solution_lattice(flat, n, L)
+            if periodic:
+                got = w ** n // math.prod(row[j] for j, row in enumerate(basis))
+            else:
+                got = _lattice_box(basis, lo, hi)
+            memo[key] = got
+        if periodic:
+            return got
+        if collect:
+            sols.extend([head + y for y in got])
+        return len(got)
+
+    return solve(G.coeffs, G.d, ()), sols
 
 
 def _box_dispatch(G: IntMultilinearForm, box: BoxSpec, collect: bool,
                   budget_bits: float):
     _box_gate(G, box, budget_bits)
-    use_numpy = (
-        G.d == 3
-        and box.width ** (G.n * 2) > 1 << 14
-        and G.max_abs_coeff() * (G.n ** (G.d - 1)) * max(box.bound, 1) ** (G.d - 1) < _NUMPY_SAFE
-    )
-    if use_numpy:
-        return _box_numpy(G, box, collect)
-    return _box_pure(G, box, collect)
+    return _box_lattice(G, box, collect)
 
 
 def count_box(G: IntMultilinearForm, box: BoxSpec,

@@ -156,7 +156,7 @@ def brk_estimate(f: HomogeneousForm, l_max: int = 2,
 # partition rank
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankOneTerm:
     """G((x_i)_{i in slots}) * H((x_j)_{j outside}); slots always contains 0.
 
@@ -270,8 +270,9 @@ def rank_one_catalog(field: FieldSpec, n: int, d: int, budget_bits: float = 24.0
     index: dict[tuple[int, ...], int] = {}
     for slots in partitions:
         gsz, hsz = n ** len(slots), n ** (d - len(slots))
+        hs = _nonzero_coeff_vectors(q, hsz)
         for g in _projective_coeff_vectors(q, gsz):
-            for h in _nonzero_coeff_vectors(q, hsz):
+            for h in hs:
                 term = RankOneTerm(slots, g, h)
                 t = term.expand(field, n, d)
                 if t not in index:
@@ -422,7 +423,7 @@ def prk_bounds(F: MultilinearForm, budget_bits: float = 24.0,
 # strength
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductTerm:
     """g * h with deg g <= deg h; coefficients are dense over the monomial basis."""
 
@@ -494,8 +495,9 @@ def product_catalog(field: FieldSpec, n: int, d: int, budget_bits: float = 22.0)
     for k in range(1, d // 2 + 1):
         gb = monomial_exponents(n, k)
         hb = monomial_exponents(n, d - k)
+        hs = _nonzero_coeff_vectors(q, len(hb))
         for g in _projective_coeff_vectors(q, len(gb)):
-            for h in _nonzero_coeff_vectors(q, len(hb)):
+            for h in hs:
                 prod = _poly_multiply_dense(g, gb, h, hb, out_index, K)
                 if any(prod) and prod not in index:
                     index[prod] = len(tensors)

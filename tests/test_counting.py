@@ -367,18 +367,18 @@ def test_count_box_mod_L():
     assert all((a * b) % 10 == 0 for a, b in sols)
 
 
-def test_box_numpy_path_matches_pure():
-    # widths above the numpy threshold, cross-checked against the pure path
+def test_box_lattice_matches_pure():
+    # the lattice kernel against the literal pair scan, same inputs
     from multirank import counting
 
     G = random_int_form(3, 2, 3, 77)
     box = BoxSpec(8, signed=True, modulus=50)
     pure = counting._box_pure(G, box, True)
-    fast = counting._box_numpy(G, box, True)
+    fast = counting._box_lattice(G, box, True)
     assert pure[0] == fast[0]
     assert pure[1] == fast[1]
     box2 = BoxSpec(7, signed=False)
-    assert counting._box_pure(G, box2, False)[0] == counting._box_numpy(G, box2, False)[0]
+    assert counting._box_pure(G, box2, False)[0] == counting._box_lattice(G, box2, False)[0]
 
 
 def test_chunk_determinism_across_threads():
@@ -478,3 +478,41 @@ def test_fiber_counts_match_count_fiber_property(case, data):
     for y in targets:
         assert count_fiber(F, a, b, y) == hist.get(y, 0)
     assert sum(hist.values()) == count_fiber(F, a, 0, zero_fiber_target(F, 0))
+
+
+BIG = 1 << 62  # values near it overflow int64 products, so exact integers matter
+
+
+@st.composite
+def box_cases(draw, max_log_space=11):
+    """(G, box): d in {3, 4}, n <= 3, sparse coefficients, some near 2^62.
+
+    The box is signed or unsigned, with a bound that keeps the full space
+    width^(n(d-1)) within about 2^max_log_space; it always holds the zero
+    prefix, and sparse forms give further prefixes with a zero system.
+    """
+    d = draw(st.sampled_from((3, 4)))
+    n = draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(BIG - 3, BIG + 3),
+                      st.integers(-BIG - 3, -BIG + 3))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(entry, min_size=n ** d, max_size=n ** d))
+    else:
+        coeffs = [0] * n ** d
+    G = IntMultilinearForm(d, n, tuple(coeffs))
+    signed = draw(st.booleans())
+    wmax = int(2 ** (max_log_space / (n * (d - 1))))
+    bmax = (wmax + 1) // 2 if signed else wmax
+    modulus = draw(st.sampled_from((None, 2, 3, 5, 4, 6, 12, 50)))
+    return G, BoxSpec(draw(st.integers(1, max(bmax, 1))), signed=signed, modulus=modulus)
+
+
+@seed(20241005)
+@settings(max_examples=150, deadline=None)
+@given(box_cases())
+def test_box_lattice_matches_pure_property(case):
+    from multirank import counting
+
+    G, box = case
+    assert counting._box_lattice(G, box, True) == counting._box_pure(G, box, True)
+    assert counting._box_lattice(G, box, False)[0] == counting._box_pure(G, box, False)[0]
