@@ -6,8 +6,14 @@ summing Q^(n - rank(slice_matrix)) over (d-2)-tuples instead of scanning
 all (d-1)-tuples. Since the slice rank is invariant under scaling each
 slot vector, the enumeration runs over projective representatives and is
 multiplied back by (Q-1)^(d-2); tuples containing a zero vector
-contribute a closed form. A literal full-enumeration counter is retained
-solely as a differential-testing oracle.
+contribute a closed form. The slice ranks are taken one projective line
+at a time: along {(u, t) : t in F_Q} the slice is P + tB, exact ranks
+at the nodes t = 0..n fix the line's generic rank r and one nonzero
+r-minor, a polynomial of degree <= n in t, and only the zeros of its
+Newton interpolant need another exact rank. For d >= 4 the first d-3
+projective vectors are contracted away first. A literal full-enumeration
+counter, and the rank trick with one exact rank per projective slice,
+are retained solely as differential-testing oracles.
 
 The integer box sieves apply the same idea: enumerate the first d-2
 blocks of the height box, contract each prefix to the n x n system of
@@ -27,7 +33,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import Sequence
 
 from .errors import BudgetError
@@ -82,23 +88,75 @@ def matrix_rank(rows: list[list[int]], ncols: int, K) -> int:
     return rank
 
 
-def _rank3_flat(m: Sequence[int], K) -> int:
-    """Rank of a 3x3 matrix given as a flat 9-tuple, determinant first."""
-    a, b, c, d, e, f, g, h, i = m
+def _eliminate(M: Sequence[int], n: int, K) -> tuple[int, list[int], list[int]]:
+    """Gaussian elimination of the n x n matrix M, flat in row-major order.
+
+    Returns det(M) and the pivot rows (original indices, in pivot order)
+    and columns; their number is the rank, and M restricted to them is
+    nonsingular.
+    """
+    mul, sub = K.mul, K.sub
+    rows = _square_rows(M, n)
+    order = list(range(n))
+    pcols: list[int] = []
+    det = 1
+    for col in range(n):
+        rank = len(pcols)
+        for piv in range(rank, n):
+            if rows[piv][col]:
+                break
+        else:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            order[rank], order[piv] = order[piv], order[rank]
+            det = K.neg(det)
+        prow = rows[rank]
+        det = mul(det, prow[col])
+        pinv = K.inv(prow[col])
+        for r in range(rank + 1, n):
+            rr = rows[r]
+            v = rr[col]
+            if v:
+                f = mul(v, pinv)
+                for c2 in range(col + 1, n):
+                    if prow[c2]:
+                        rr[c2] = sub(rr[c2], mul(f, prow[c2]))
+        pcols.append(col)
+    rank = len(pcols)
+    return (det if rank == n else 0), order[:rank], pcols
+
+
+def _rank_det(M: Sequence[int], n: int, K) -> tuple[int, int]:
+    """Rank and determinant of the n x n matrix M, flat in row-major order.
+
+    Cofactors for n <= 3, where the 2 x 2 minors also settle the rank of
+    a singular 3 x 3 matrix; elimination for larger n.
+    """
+    if n > 3:
+        det, _, cols = _eliminate(M, n, K)
+        return len(cols), det
+    if n == 0:
+        return 0, 1
+    if n == 1:
+        return (1 if M[0] else 0), M[0]
     mul, sub, add = K.mul, K.sub, K.add
+    if n == 2:
+        a, b, c, d = M
+        det = sub(mul(a, d), mul(b, c))
+        return (2 if det else 1 if a or b or c or d else 0), det
+    a, b, c, d, e, f, g, h, i = M
     t1 = sub(mul(e, i), mul(f, h))
     t2 = sub(mul(d, i), mul(f, g))
     t3 = sub(mul(d, h), mul(e, g))
     det = sub(add(mul(a, t1), mul(c, t3)), mul(b, t2))
     if det:
-        return 3
-    if t1 or t2 or t3:
-        return 2
-    if (sub(mul(a, e), mul(b, d)) or sub(mul(a, f), mul(c, d)) or
+        return 3, det
+    if (t1 or t2 or t3 or sub(mul(a, e), mul(b, d)) or sub(mul(a, f), mul(c, d)) or
             sub(mul(b, f), mul(c, e)) or sub(mul(a, h), mul(b, g)) or
             sub(mul(a, i), mul(c, g)) or sub(mul(b, i), mul(c, h))):
-        return 2
-    return 1 if any(m) else 0
+        return 2, 0
+    return (1 if any(M) else 0), 0
 
 
 def nullspace_basis(rows: list[list[int]], ncols: int, K) -> list[list[int]]:
@@ -207,60 +265,10 @@ def count_SF(F: MultilinearForm, l: int = 1,
 
     Equals sum over x in V^(d-2) of Q^(n - rank(slice_matrix(F_l, x))),
     which in turn equals the literal count of (d-1)-tuples killing the
-    last slot.
+    last slot. The slice ranks are taken one projective line at a time
+    (_line_kernel).
     """
-    Fl = level_form(F, l)
-    K = kernel(Fl.field)
-    Q, n, d = K.q, F.n, F.d
-
-    if d == 2:
-        rows = [list(Fl.coeffs[i * n:(i + 1) * n]) for i in range(n)]
-        return Q ** (n - matrix_rank(rows, n, K))
-
-    bits = (d - 2) * n * math.log2(Q)
-    if bits > budget_bits:
-        raise BudgetError("S_F slice enumeration q^(l*n*(d-2))", bits, budget_bits,
-                          hint="use a smaller l or raise the budget")
-
-    pts = projective_points(Q, n)
-    zero_tuples = Q ** (n * (d - 2)) - (Q ** n - 1) ** (d - 2)
-    total = zero_tuples * Q ** n
-    proj_sum = 0
-    if d == 3:
-        blocks = [Fl.coeffs[i * n * n:(i + 1) * n * n] for i in range(n)]
-        nn = n * n
-        add, mul = K.add, K.mul
-        for v in pts:
-            M = None
-            for j in range(n):
-                x = v[j]
-                if not x:
-                    continue
-                bj = blocks[j]
-                if M is None:
-                    M = list(bj) if x == 1 else [mul(x, c) for c in bj]
-                elif x == 1:
-                    for k in range(nn):
-                        if bj[k]:
-                            M[k] = add(M[k], bj[k])
-                else:
-                    for k in range(nn):
-                        if bj[k]:
-                            M[k] = add(M[k], mul(x, bj[k]))
-            if n == 2:
-                det = K.sub(mul(M[0], M[3]), mul(M[1], M[2]))
-                r = 2 if det else (1 if (M[0] or M[1] or M[2] or M[3]) else 0)
-            elif n == 3:
-                r = _rank3_flat(M, K)
-            else:
-                r = matrix_rank([M[i * n:(i + 1) * n] for i in range(n)], n, K)
-            proj_sum += Q ** (n - r)
-    else:
-        for vecs in product(pts, repeat=d - 2):
-            M = Fl._contract_prefix(vecs)
-            proj_sum += Q ** (n - matrix_rank([M[i * n:(i + 1) * n] for i in range(n)], n, K))
-
-    return total + (Q - 1) ** (d - 2) * proj_sum
+    return _rank_trick(F, l, budget_bits, _line_sums)
 
 
 def count_SF_naive(F: MultilinearForm, l: int = 1,
@@ -278,6 +286,143 @@ def count_SF_naive(F: MultilinearForm, l: int = 1,
         if not any(Fl._contract_prefix(vecs)):
             count += 1
     return count
+
+
+def _count_SF_points(F: MultilinearForm, l: int = 1,
+                     budget_bits: float = DEFAULT_BUDGET_BITS) -> int:
+    """Differential-testing oracle for count_SF: one exact rank per projective slice."""
+    return _rank_trick(F, l, budget_bits, _point_sums)
+
+
+def _rank_trick(F: MultilinearForm, l: int, budget_bits: float, proj_sum) -> int:
+    """|S_{F_l}| from proj_sum(Fl, K), the sum of Q^(n - rank) over projective (d-2)-tuples.
+
+    Tuples containing a zero vector have the zero slice, a closed form;
+    every other tuple is a projective one scaled in each slot, (Q-1)^(d-2)
+    ways.
+    """
+    Fl = level_form(F, l)
+    K = kernel(Fl.field)
+    Q, n, d = K.q, F.n, F.d
+
+    if d == 2:
+        return Q ** (n - matrix_rank(_square_rows(Fl.coeffs, n), n, K))
+
+    bits = (d - 2) * n * math.log2(Q)
+    if bits > budget_bits:
+        raise BudgetError("S_F slice enumeration q^(l*n*(d-2))", bits, budget_bits,
+                          hint="use a smaller l or raise the budget")
+
+    zero_tuples = Q ** (n * (d - 2)) - (Q ** n - 1) ** (d - 2)
+    return zero_tuples * Q ** n + (Q - 1) ** (d - 2) * proj_sum(Fl, K)
+
+
+def _square_rows(M: Sequence[int], n: int) -> list[list[int]]:
+    return [list(M[i * n:(i + 1) * n]) for i in range(n)]
+
+
+def _point_sums(Fl: MultilinearForm, K) -> int:
+    Q, n = K.q, Fl.n
+    return sum(Q ** (n - matrix_rank(_square_rows(Fl._contract_prefix(vecs), n), n, K))
+               for vecs in product(projective_points(Q, n), repeat=Fl.d - 2))
+
+
+def _line_sums(Fl: MultilinearForm, K) -> int:
+    """_point_sums by lines: contract the first d-3 projective vectors, then _line_kernel."""
+    slice_sum = _line_kernel(K, Fl.n)
+    if Fl.d == 3:
+        return slice_sum(Fl.coeffs)
+    return sum(slice_sum(Fl._contract_prefix(vecs))
+               for vecs in product(projective_points(K.q, Fl.n), repeat=Fl.d - 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _line_kernel(K, n: int):
+    """The function G -> sum over projective v of Q^(n - rank(sum_j v_j G_j)).
+
+    G is a flat n x n x n form and G_j its n x n block with first index j.
+    The projective points are the lines {(u, t) : t in F_Q}, one for each
+    projective point u of F_Q^(n-1), and the point e_{n-1}. Along a line
+    the slice is P + tB, and each of its minors is a polynomial of degree
+    <= n in t. Exact ranks are taken at the nodes t = 0..n (element
+    indices); their largest, r, is the line's generic rank, and the node
+    with rank r names a nonzero r-minor: det(P + tB) when r = n. When
+    Q > n + 1 that minor's Newton form, from its values at the nodes, is
+    evaluated at every other t; a nonzero value means rank r, and only
+    its zeros need an exact rank. The kernel is cached per field and n,
+    so the inverse node differences and the Newton basis at every t are
+    computed once.
+    """
+    Q, nn = K.q, n * n
+    add, mul, sub = K.add, K.mul, K.sub
+    weight = [Q ** (n - r) for r in range(n + 1)]
+    heads = projective_points(Q, n - 1)
+    nodes = range(min(Q, n + 1))
+    rest = range(n + 1, Q)
+    if heads and rest:
+        # 1/(x_i - x_{i-k}) for the divided differences, and the Newton
+        # basis prod_{i<k} (t - x_i), k = 1..n, at every t off the nodes
+        inv_diff = [[K.inv(sub(i, i - k)) if i >= k else 0 for i in range(n + 1)]
+                    for k in range(1, n + 1)]
+        basis, b = [], [1] * len(rest)
+        for i in range(n):
+            b = [mul(x, sub(t, i)) for x, t in zip(b, rest)]
+            basis.append(b)
+
+    def pencil(P: Sequence[int], B: Sequence[int], t: int) -> Sequence[int]:
+        if not t:
+            return P
+        return [add(a, mul(t, b)) if b else a for a, b in zip(P, B)]
+
+    def rank(M: Sequence[int]) -> int:
+        if n > 3:  # no determinant needed: plain elimination is cheaper
+            return matrix_rank(_square_rows(M, n), n, K)
+        return _rank_det(M, n, K)[0]
+
+    def line(P: Sequence[int], B: Sequence[int]) -> int:
+        Ms = [pencil(P, B, t) for t in nodes]
+        if not rest:
+            return sum(weight[rank(M)] for M in Ms)
+        at_nodes = [_rank_det(M, n, K) for M in Ms]
+        s = sum(weight[r] for r, _ in at_nodes)
+        # Every (r+1)-minor has degree <= r + 1 <= n in t, so if all vanish
+        # at the n + 1 nodes they vanish on the whole line: the largest node
+        # rank r is the rank at every t except the zeros of one nonzero r-minor.
+        ranks = [r for r, _ in at_nodes]
+        r = max(ranks)
+        if r == n:
+            c = [det for _, det in at_nodes]
+        else:
+            _, rows, cols = _eliminate(Ms[ranks.index(r)], n, K)
+            c = [_rank_det([M[i * n + j] for i in rows for j in cols], r, K)[1] for M in Ms]
+        for k, inv_k in enumerate(inv_diff, 1):
+            for i in range(n, k - 1, -1):
+                c[i] = mul(sub(c[i], c[i - 1]), inv_k[i])
+        values = repeat(c[0], len(rest))
+        for ck, bk in zip(c[1:], basis):
+            if ck:
+                values = map(add, values, map(mul, repeat(ck), bk))
+        s += weight[r] * len(rest)
+        for t, v in zip(rest, values):
+            if not v:
+                s += weight[rank(pencil(P, B, t))] - weight[r]
+        return s
+
+    def slice_sum(G: Sequence[int]) -> int:
+        blocks = [G[j * nn:(j + 1) * nn] for j in range(n)]
+        B = blocks[n - 1]
+        total = weight[rank(B)]
+        for u in heads:
+            P = [0] * nn
+            for x, bj in zip(u, blocks):
+                if x:
+                    for k in range(nn):
+                        if bj[k]:
+                            P[k] = add(P[k], bj[k] if x == 1 else mul(x, bj[k]))
+            total += line(P, B)
+        return total
+
+    return slice_sum
 
 
 def sf_profile(F: MultilinearForm, l_max: int,

@@ -11,7 +11,9 @@ Internally every element also has an index, the integer sum(digit[i]*p^i);
 enumeration order is ascending index (zero first). Hot loops in the
 counting kernels work on indices through the cached arithmetic kernel;
 that is an internal representation choice, the public contract stays digit
-vectors.
+vectors. For odd p and e > 1, addition up to q = 2^10 is one q x q table
+on indices, built a base-p digit at a time (digit-wise addition has no
+carries), whose q^2 entries share the q index ints.
 
 Embeddings between F_{p^e} and F_{p^{e*l}} are found by exhaustive root
 search of the source modulus in the target, taking the least root, and are
@@ -303,8 +305,9 @@ class _Kernel:
     """Index-level arithmetic for one FieldSpec.
 
     Indices encode digit vectors as integers in base p. Multiplication uses
-    discrete-log tables when q is small enough, addition uses a full table,
-    XOR (p = 2), or digit arithmetic. All closures are pure functions.
+    discrete-log tables when q is small enough, addition uses a full table
+    built by digit blocks (_digit_add_table), XOR (p = 2), or digit
+    arithmetic. All closures are pure functions.
     """
 
     __slots__ = ("spec", "p", "e", "q", "add", "sub", "mul", "neg", "inv", "pow",
@@ -396,15 +399,7 @@ class _Kernel:
             return index_direct(prod)
 
         if q <= _ADD_TABLE_LIMIT:
-            table = []
-            for a in range(q):
-                da = digits_direct(a)
-                row = []
-                for b in range(q):
-                    db = digits_direct(b)
-                    row.append(index_direct([(x + y) % p for x, y in zip(da, db)]))
-                table.append(tuple(row))
-            tbl = tuple(table)
+            tbl = _digit_add_table(p, e)
             self.add = lambda a, b: tbl[a][b]
         else:
             def add_digits(a: int, b: int) -> int:
@@ -490,6 +485,26 @@ class _Kernel:
             return exp_t[(log_t[a] * k) % order]
 
         self.mul, self.inv, self.pow = mul, inv, pw
+
+
+def _digit_add_table(p: int, e: int) -> tuple[tuple[int, ...], ...]:
+    """Addition of F_{p^e} on indices, built one base-p digit at a time.
+
+    Digit-wise addition has no carries, so with a = lo + s*hi (lo < s) row
+    a of the table for p*s indices is the concatenation, over hi' < p, of
+    row lo of the table for s indices shifted by s*((hi + hi') mod p).
+    Every entry is taken from one list of the q index ints, so the q*q
+    table holds q int objects.
+    """
+    ints = list(range(p ** e))
+    rows = [tuple(ints[(a + b) % p] for b in range(p)) for a in range(p)]
+    s = p
+    for _ in range(e - 1):
+        shifted = [[tuple([ints[x + s * k] for x in row]) for row in rows] for k in range(p)]
+        rows = [tuple(itertools.chain.from_iterable(shifted[(hi + k) % p][lo] for k in range(p)))
+                for hi in range(p) for lo in range(s)]
+        s *= p
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=None)

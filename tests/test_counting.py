@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import random
 
 import pytest
 from hypothesis import given, seed, settings
@@ -478,6 +479,64 @@ def test_fiber_counts_match_count_fiber_property(case, data):
     for y in targets:
         assert count_fiber(F, a, b, y) == hist.get(y, 0)
     assert sum(hist.values()) == count_fiber(F, a, 0, zero_fiber_target(F, 0))
+
+
+def rank_one_form(field, d, n, s):
+    """a_1 (x) ... (x) a_d for random vectors: every slice has rank <= 1."""
+    K = kernel(field)
+    rnd = random.Random(s)
+    vecs = [[rnd.randrange(field.q) for _ in range(n)] for _ in range(d)]
+    coeffs = []
+    for idx in itertools.product(range(n), repeat=d):
+        c = 1
+        for v, i in zip(vecs, idx):
+            c = K.mul(c, v[i])
+        coeffs.append(c)
+    return MultilinearForm(field, d, n, tuple(coeffs))
+
+
+def sf_test_form(kind, field, d, n, s):
+    if kind == "random":
+        return random_form(field, d, n, s)
+    if kind == "diagonal":
+        return diagonal(s % n, n, d, field)  # m < n: every slice is singular
+    if kind == "zero":
+        return MultilinearForm.zeros(field, d, n)
+    return rank_one_form(field, d, n, s)
+
+
+SF_KINDS = ("random", "random", "diagonal", "zero", "rank-one")
+FACTOR = {4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+# (q, l, n, d) over q in {4, 5, 7, 8, 9}, l in {1, 2}, n <= 3, d in {3, 4}
+# whose naive space (q^l)^(n(d-1)) stays within 2^16
+SF_SHAPES = [(q, l, n, d) for q in (4, 5, 7, 8, 9) for l in (1, 2) for n in (1, 2, 3)
+             for d in (3, 4) if q ** (l * n * (d - 1)) <= 1 << 16]
+
+
+@seed(20241006)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SF_SHAPES), st.sampled_from(SF_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_count_sf_line_kernel_matches_naive_property(shape, kind, s):
+    """Reaches the interpolation (Q > n + 1), zeros of the interpolated
+    minor, lines of generic rank below n (diagonal m < n, zero, rank one)
+    and the lone point e_{n-1}."""
+    q, l, n, d = shape
+    F = sf_test_form(kind, make_field(*FACTOR[q]), d, n, s)
+    assert count_SF(F, l) == count_SF_naive(F, l)
+
+
+def test_line_kernel_matches_per_point_oracle():
+    """Sizes beyond the naive counter: the line kernel against one rank per slice."""
+    from multirank import counting
+
+    F4, F7 = make_field(2, 2), make_field(7, 1)
+    # the last two interpolate n >= 3 determinants in odd characteristic,
+    # where elimination's row swaps flip the sign
+    for field, d, n, l in [(F2, 3, 3, 6), (F4, 3, 3, 3), (F5, 3, 4, 1), (F3, 3, 2, 5),
+                           (F2, 4, 3, 2), (F3, 3, 3, 3), (F7, 3, 4, 1)]:
+        for kind, s in [("random", 1), ("random", 2), ("diagonal", n - 1), ("rank-one", 3)]:
+            F = sf_test_form(kind, field, d, n, s)
+            assert counting.count_SF(F, l) == counting._count_SF_points(F, l), (field, d, n, l, kind)
 
 
 BIG = 1 << 62  # values near it overflow int64 products, so exact integers matter

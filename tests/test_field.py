@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multirank import field
 from multirank.errors import BudgetError
 from multirank.field import (
     FieldElement,
@@ -167,6 +168,38 @@ def test_frobenius_is_additive(p, e):
         a = els[rng.below(spec.q)]
         b = els[rng.below(spec.q)]
         assert (a + b).frobenius() == a.frobenius() + b.frobenius()
+
+
+# every F_{p^e} with p odd and e > 1 small enough for a full add table
+ODD_EXTENSIONS = [(p, e) for p in range(3, 32) if is_prime(p) for e in range(2, 7)
+                  if p ** e <= field._ADD_TABLE_LIMIT]
+
+
+@pytest.mark.parametrize("p,e", ODD_EXTENSIONS)
+def test_digit_block_add_table(p, e):
+    q = p ** e
+    K = kernel(make_field(p, e))
+    table = field._digit_add_table(p, e)
+    assert len(table) == q and all(len(row) == q for row in table)
+
+    def digits(i):
+        return [i // p ** k % p for k in range(e)]
+
+    def index(ds):
+        return sum(d * p ** k for k, d in enumerate(ds))
+
+    if q <= 243:
+        rows = range(q)
+    else:
+        rng = SplitMix64(0xADD + q)
+        rows = [0, q - 1] + [rng.below(q) for _ in range(12)]
+    for a in rows:
+        da = digits(a)
+        assert table[a] == tuple(index([(x + y) % p for x, y in zip(da, digits(b))])
+                                 for b in range(q))
+        assert [K.add(a, b) for b in range(q)] == list(table[a])
+    # entries share the q index ints instead of holding q^2 of them
+    assert len({id(x) for row in table for x in row}) <= q
 
 
 @given(st.integers(min_value=0, max_value=24), st.integers(min_value=0, max_value=24))
