@@ -22,9 +22,13 @@ form a lattice, whose Hermite normal form, in Python integers, is walked
 coordinate by coordinate in ascending order. The literal scan
 `_box_pure` is kept as the differential oracle.
 
-Every counter is one serial loop over its enumeration space. Budget gates
-raise BudgetError naming the offending exponent; nothing is silently
-truncated.
+The F_q[t] counters (count_NR, fiber_counts) enumerate the prefix blocks
+and solve the last block's linear system; that system is linear in the
+last prefix block, so only its zero and projective values are walked,
+and count_singular evaluates the origin and the projective points. The
+literal enumerations stay as oracles (count_fiber, and in the tests).
+Budget gates keep their full-space exponents and raise BudgetError
+naming the offending one; nothing is silently truncated.
 """
 
 from __future__ import annotations
@@ -202,15 +206,10 @@ def nullspace_basis(rows: list[list[int]], ncols: int, K) -> list[list[int]]:
 
 def span_vectors(basis: list[list[int]], K, ncols: int) -> list[tuple[int, ...]]:
     """All q^k vectors spanned by the basis, deterministic order."""
-    vecs: list[tuple[int, ...]] = [tuple([0] * ncols)]
-    add, mul = K.add, K.mul
+    vecs: list[tuple[int, ...]] = [(0,) * ncols]
     for b in basis:
-        new = []
-        for c in range(K.q):
-            cb = b if c == 1 else [mul(c, x) for x in b]
-            for v in vecs:
-                new.append(tuple(add(x, y) for x, y in zip(v, cb)))
-        vecs = new
+        vecs = [tuple(map(K.add, v, cb)) for cb in ([K.mul(c, x) for x in b] for c in range(K.q))
+                for v in vecs]
     return vecs
 
 
@@ -455,7 +454,13 @@ class CountProfile:
 
 def count_singular(f: HomogeneousForm, l: int = 1,
                    budget_bits: float = DEFAULT_BUDGET_BITS) -> int:
-    """Exact count of points where all n formal partial derivatives vanish."""
+    """Exact count of points where all n formal partial derivatives vanish.
+
+    The partials are homogeneous of degree d-1, so whether they all vanish
+    at c*x does not depend on c != 0: the count is the origin, evaluated
+    directly (its partials are constants when d = 1), plus Q-1 times the
+    singular projective points.
+    """
     if f.field is None:
         raise ValueError("count_singular needs a finite-field polynomial")
     fl = level_poly(f, l)
@@ -466,8 +471,8 @@ def count_singular(f: HomogeneousForm, l: int = 1,
         raise BudgetError("singular locus enumeration q^(l*n)", bits, budget_bits)
     partials = [list(fl.partial(j).terms) for j in range(n)]
     mul, add, pw = K.mul, K.add, K.pow
-    count = 0
-    for point in product(range(Q), repeat=n):
+
+    def singular(point: tuple[int, ...]) -> bool:
         for terms in partials:
             val = 0
             for exp, c in terms:
@@ -480,10 +485,10 @@ def count_singular(f: HomogeneousForm, l: int = 1,
                         v = mul(v, pw(x, e))
                 val = add(val, v)
             if val:
-                break
-        else:
-            count += 1
-    return count
+                return False
+        return True
+
+    return singular((0,) * n) + (Q - 1) * sum(map(singular, projective_points(Q, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +565,49 @@ def _last_block_system(M: Sequence[Sequence[int]], n: int, R: int, nrows_deg: in
     return rows
 
 
+def _prefix_systems(F: MultilinearForm, K, deg: int, nrows_deg: int, trunc: int | None):
+    """Yield (head, x, rows): every last-block system of the ring counters, up to scaling.
+
+    head runs over the first d-3 prefix blocks, x over the zero last prefix
+    block and the projective ones (flat digits, first nonzero 1). rows is
+    linear in x, built as the sum over k of the systems of the blocks with
+    x_k at digit k, so c * x has the system c * rows: same rank and kernel.
+    With d = 2 there is no prefix, and ((), (), rows) is the one yield.
+    """
+    q, n, d, N = K.q, F.n, F.d, F.n * deg
+    coeffs0: list[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
+    if d == 2:
+        yield (), (), _last_block_system(coeffs0, n, deg, nrows_deg, trunc)
+        return
+
+    def walk(k: int, x: tuple[int, ...], acc: list[int]):
+        if k == N:
+            yield head, x, [acc[i * N:(i + 1) * N] for i in range(n * nrows_deg)]
+            return
+        for c in range(q if any(x) else 2):  # 0 or 1 until the first nonzero digit
+            yield from walk(k + 1, x + (c,), list(map(K.add, acc, scaled[k][c])) if c else acc)
+
+    for digits in product(range(q), repeat=N * (d - 3)):
+        head = _blocks(digits, d - 3, n, deg)
+        cur = coeffs0
+        for slots, v in enumerate(head):
+            cur = _contract_poly_first(cur, d - slots, n, v, K, trunc)
+        # scaled[k][c]: the flat system of the block with c at digit k
+        scaled = [[[v for row in _last_block_system(_contract_poly_first(
+            cur, 3, n, _blocks(tuple(c * (i == k) for i in range(N)), 1, n, deg)[0], K, trunc),
+            n, deg, nrows_deg, trunc) for v in row] for c in range(q)] for k in range(N)]
+        yield from walk(0, (), [0] * (n * nrows_deg * N))
+
+
 def count_NR(F: MultilinearForm, R: int,
              budget_bits: float = DEFAULT_BUDGET_BITS) -> int:
     """Solutions x in (F_q[t]^n)^(d-1), entry degrees < R, with F(x, e_i) = 0 for all i.
 
     Enumerates the first d-2 blocks and solves the exact linear system for
-    the last block; each prefix contributes q^(nR - rank).
+    the last block; each prefix contributes q^(nR - rank). Scaling the last
+    prefix block by c != 0 scales the system, so only its zero and
+    projective values are enumerated, the latter counted q-1 times
+    (_prefix_systems).
     """
     if R < 1:
         raise ValueError("degree bound R must be >= 1")
@@ -578,18 +620,10 @@ def count_NR(F: MultilinearForm, R: int,
     if prefix_bits > budget_bits:
         raise BudgetError("polynomial-ring prefix enumeration", prefix_bits, budget_bits)
 
-    deg_out = (d - 1) * (R - 1) + 1
     unknowns = n * R
-    coeffs0: list[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
     total = 0
-    for digits in product(range(q), repeat=unknowns * (d - 2)):
-        cur: Sequence[Sequence[int]] = coeffs0
-        slots = d
-        for v in _blocks(digits, d - 2, n, R):
-            cur = _contract_poly_first(cur, slots, n, v, K, None)
-            slots -= 1
-        rows = _last_block_system(cur, n, R, deg_out, None)
-        total += q ** (unknowns - matrix_rank(rows, unknowns, K))
+    for _, x, rows in _prefix_systems(F, K, R, (d - 1) * (R - 1) + 1, None):
+        total += (q - 1 if any(x) else 1) * q ** (unknowns - matrix_rank(rows, unknowns, K))
     return total
 
 
@@ -641,10 +675,13 @@ def fiber_counts(F: MultilinearForm, a: int, b: int,
                  budget_bits: float = DEFAULT_BUDGET_BITS) -> dict[tuple, int]:
     """Histogram {y: N^y} over all reduction targets at once.
 
-    Enumerates the first d-2 blocks fully and walks the kernel of the
-    last-block linear system, so the work is proportional to the number
-    of solutions rather than the whole space. Values agree with
-    count_fiber entry by entry.
+    Enumerates the first d-3 blocks fully and the last prefix block up to
+    scaling (_prefix_systems): c * x has the same last-block kernel, and
+    its prefix key is c times that of x. The kernel basis, reduced mod t^b,
+    spans the kernel's image; each of its q^rank points is hit by
+    q^(dim kernel - rank) solutions. The work is proportional to the number
+    of distinct keys rather than the whole space. Values agree with
+    count_fiber entry by entry; the order of the keys is unspecified.
     """
     if not (0 <= b <= a):
         raise ValueError("need 0 <= b <= a")
@@ -655,25 +692,24 @@ def fiber_counts(F: MultilinearForm, a: int, b: int,
         raise BudgetError("fiber space q^(n(d-1)a)", bits, budget_bits)
 
     hist: dict[tuple, int] = {}
-    coeffs0: list[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
-
-    def reduce_key(polys: Sequence[Sequence[int]]) -> tuple:
-        return tuple(tuple(p[s] if s < len(p) else 0 for s in range(b)) for p in polys)
-
-    for digits in product(range(q), repeat=n * a * (d - 2)):
-        prefix = _blocks(digits, d - 2, n, a)
-        cur: Sequence[Sequence[int]] = coeffs0
-        slots = d
-        for v in prefix:
-            cur = _contract_poly_first(cur, slots, n, v, K, a)
-            slots -= 1
-        rows = _last_block_system(cur, n, a, a, a)
-        basis = nullspace_basis(rows, n * a, K)
-        prefix_key = tuple(reduce_key(v) for v in prefix)
-        for vec in span_vectors(basis, K, n * a):
-            polys = [vec[j * a:(j + 1) * a] for j in range(n)]
-            key = prefix_key + (reduce_key(polys),)
-            hist[key] = hist.get(key, 0) + 1
+    # put the n*b coefficients kept mod t^b last: a reduced echelon row that
+    # pivots among them is 0 on the others, so the kernel basis vectors of
+    # the other free columns reduce to 0 and the rest to a basis of the image
+    order = sorted(range(n * a), key=lambda i: i % a < b)
+    cut = n * (a - b)
+    for head, x, rows in _prefix_systems(F, K, a, a, a):
+        basis = nullspace_basis([[r[i] for i in order] for r in rows], n * a, K)
+        image = [v[cut:] for v in basis if any(v[cut:])]
+        mult = q ** (len(basis) - len(image))
+        tails = [tuple(z[j * b:(j + 1) * b] for j in range(n))
+                 for z in span_vectors(image, K, n * b)]
+        head_key = tuple(tuple(p[:b] for p in v) for v in head)
+        for c in range(1, q) if any(x) else (1,):
+            key = head_key
+            if d > 2:
+                key += (tuple(tuple(K.mul(c, v) for v in x[j * a:j * a + b]) for j in range(n)),)
+            for z in tails:
+                hist[key + (z,)] = hist.get(key + (z,), 0) + mult
     return hist
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 
 import pytest
@@ -318,7 +317,7 @@ def test_fiber_counts_histogram_matches_count_fiber():
     for spec, seeds in [(F2, range(4)), (F3, range(2))]:
         for seed in seeds:
             F = random_form(spec, 3, 2, 500 + seed)
-            for a, b in [(1, 0), (1, 1), (2, 1), (2, 2), (2, 0)]:
+            for a, b in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (2, 0)]:
                 hist = fiber_counts(F, a, b)
                 q, n, d = spec.q, F.n, F.d
                 # check every fiber, including absent ones
@@ -382,24 +381,27 @@ def test_box_lattice_matches_pure():
     assert counting._box_pure(G, box2, False)[0] == counting._box_lattice(G, box2, False)[0]
 
 
-def test_chunk_determinism_across_threads():
+def test_counters_identical_on_a_same_process_rerun():
+    # the counters take no thread or worker setting: a rerun must repeat
+    # every count, and two of them are checked against their oracles
     D = diagonal(1, 2, 3, F3)
     f = HomogeneousForm.from_terms(F5, 2, 3, {(2, 1): 1, (0, 3): 2})
     G = random_int_form(3, 2, 2, 5)
     results = []
-    for t in ("1", "2", "8"):
-        os.environ["MULTIRANK_THREADS"] = t
-        try:
-            results.append((
-                count_SF(D, 3),
-                count_SF_naive(D, 2),
-                count_singular(f, 2),
-                count_NR(D, 2),
-                count_box(G, BoxSpec(3, signed=True)),
-            ))
-        finally:
-            del os.environ["MULTIRANK_THREADS"]
+    for _ in range(3):
+        results.append((
+            count_SF(D, 3),
+            count_SF_naive(D, 2),
+            count_singular(f, 2),
+            count_NR(D, 2),
+            count_box(G, BoxSpec(3, signed=True)),
+        ))
     assert results[0] == results[1] == results[2]
+    fl = level_poly(f, 2)
+    grad = [fl.partial(j) for j in range(2)]
+    assert results[0][2] == sum(1 for pt in itertools.product(range(25), repeat=2)
+                                if not any(g.evaluate_index(pt) for g in grad))
+    assert results[0][3] == naive_count_NR(D, 2)
 
 
 def test_monotone_ambient_bound():
@@ -422,15 +424,15 @@ def test_matrix_rank_small():
 
 # -- property tests: every rewritten loop against an independent count ---------
 
-FIELDS = {2: F2, 3: F3, 4: make_field(2, 2)}
+FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 5: F5}
 
 
 @st.composite
 def small_forms(draw, max_log_space=12):
-    """(F, extra): a random form over q in {2, 3, 4}, n <= 2, d in {3, 4}."""
+    """(F, extra): a random form over q in {2, 3, 4, 5}, n <= 2, d in {2, 3, 4}."""
     q = draw(st.sampled_from(sorted(FIELDS)))
     n = draw(st.integers(1, 2))
-    d = draw(st.sampled_from((3, 4)))
+    d = draw(st.sampled_from((2, 3, 4)))
     F = random_form(FIELDS[q], d, n, draw(st.integers(0, 2 ** 32 - 1)))
     # the largest degree bound whose full space q^(n(d-1)R) stays small
     rmax = max(1, int(max_log_space / (n * (d - 1) * math.log2(q))))
@@ -455,9 +457,11 @@ def test_count_nr_matches_naive_property(case):
 
 @seed(20241003)
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(FIELDS)), st.integers(1, 2), st.sampled_from((3, 4)),
+@given(st.sampled_from(sorted(FIELDS)), st.integers(1, 3), st.integers(1, 4),
        st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
 def test_count_singular_matches_direct_evaluation_property(q, n, d, l, s):
+    if q ** (l * n) > 2 ** 12:  # keep the direct evaluation small
+        l = 1
     f = random_poly(FIELDS[q], d, n, s)
     fl = level_poly(f, l)
     grad = [fl.partial(j) for j in range(n)]
