@@ -11,9 +11,13 @@ at a time: along {(u, t) : t in F_Q} the slice is P + tB, exact ranks
 at the nodes t = 0..n fix the line's generic rank r and one nonzero
 r-minor, a polynomial of degree <= n in t, and only the zeros of its
 Newton interpolant need another exact rank. For d >= 4 the first d-3
-projective vectors are contracted away first. A literal full-enumeration
-counter, and the rank trick with one exact rank per projective slice,
-are retained solely as differential-testing oracles.
+projective vectors are contracted away first. At level l > 1, F still
+has its coefficients in F_q, so the Frobenius x -> x^q maps each slice
+to one of the same rank: one line is ranked per orbit of the heads u
+(d = 3), and one prefix tuple is contracted per orbit of the diagonal
+action (d >= 4), each weighted by its orbit's size. A literal
+full-enumeration counter is retained solely as a differential-testing
+oracle; the tests also rank every projective slice one at a time.
 
 The integer box sieves apply the same idea: enumerate the first d-2
 blocks of the height box, contract each prefix to the n x n system of
@@ -239,19 +243,12 @@ def level_poly(f: HomogeneousForm, l: int) -> HomogeneousForm:
 
 
 def projective_points(q: int, n: int) -> list[tuple[int, ...]]:
-    """Representatives with first nonzero coordinate 1, ascending order."""
-    pts = []
-    for pivot in range(n):
-        free = n - pivot - 1
-        head = (0,) * pivot + (1,)
-        for tail in range(q ** free):
-            vec = list(head)
-            t = tail
-            for _ in range(free):
-                t, r = divmod(t, q)
-                vec.append(r)
-            pts.append(tuple(vec))
-    return pts
+    """Representatives with first nonzero coordinate 1, ascending order.
+
+    Ascending by pivot, then by the index sum(tail[i] * q^i) of the tail.
+    """
+    return [(0,) * i + (1,) + tail[::-1]
+            for i in range(n) for tail in product(range(q), repeat=n - i - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +261,34 @@ def count_SF(F: MultilinearForm, l: int = 1,
 
     Equals sum over x in V^(d-2) of Q^(n - rank(slice_matrix(F_l, x))),
     which in turn equals the literal count of (d-1)-tuples killing the
-    last slot. The slice ranks are taken one projective line at a time
-    (_line_kernel).
+    last slot. Tuples containing a zero vector have the zero slice, a
+    closed form; every other tuple is a projective one scaled in each
+    slot, (Q-1)^(d-2) ways. The projective slice ranks are taken one line
+    at a time (_line_kernel). F_l has its coefficients in F_q, so x -> x^q
+    maps each slice to one of the same rank: d = 3 ranks one line per
+    orbit of heads, and d >= 4 contracts one prefix of d-3 projective
+    vectors per orbit (_orbits); the contracted form, with F_Q
+    coefficients, takes every head.
     """
-    return _rank_trick(F, l, budget_bits, _line_sums)
+    Fl = level_form(F, l)
+    K = kernel(Fl.field)
+    Q, n, d = K.q, F.n, F.d
+
+    if d == 2:
+        return Q ** (n - matrix_rank(_square_rows(Fl.coeffs, n), n, K))
+
+    bits = (d - 2) * n * math.log2(Q)
+    if bits > budget_bits:
+        raise BudgetError("S_F slice enumeration q^(l*n*(d-2))", bits, budget_bits,
+                          hint="use a smaller l or raise the budget")
+
+    q = F.field.q
+    slice_sum = _line_kernel(K, n)
+    heads = _orbits(K, n - 1, 1, q if d == 3 else Q)
+    proj = sum(w * slice_sum(Fl._contract_prefix(vecs), heads)
+               for vecs, w in _orbits(K, n, d - 3, q))
+    zero_tuples = Q ** (n * (d - 2)) - (Q ** n - 1) ** (d - 2)
+    return zero_tuples * Q ** n + (Q - 1) ** (d - 2) * proj
 
 
 def count_SF_naive(F: MultilinearForm, l: int = 1,
@@ -287,61 +308,46 @@ def count_SF_naive(F: MultilinearForm, l: int = 1,
     return count
 
 
-def _count_SF_points(F: MultilinearForm, l: int = 1,
-                     budget_bits: float = DEFAULT_BUDGET_BITS) -> int:
-    """Differential-testing oracle for count_SF: one exact rank per projective slice."""
-    return _rank_trick(F, l, budget_bits, _point_sums)
-
-
-def _rank_trick(F: MultilinearForm, l: int, budget_bits: float, proj_sum) -> int:
-    """|S_{F_l}| from proj_sum(Fl, K), the sum of Q^(n - rank) over projective (d-2)-tuples.
-
-    Tuples containing a zero vector have the zero slice, a closed form;
-    every other tuple is a projective one scaled in each slot, (Q-1)^(d-2)
-    ways.
-    """
-    Fl = level_form(F, l)
-    K = kernel(Fl.field)
-    Q, n, d = K.q, F.n, F.d
-
-    if d == 2:
-        return Q ** (n - matrix_rank(_square_rows(Fl.coeffs, n), n, K))
-
-    bits = (d - 2) * n * math.log2(Q)
-    if bits > budget_bits:
-        raise BudgetError("S_F slice enumeration q^(l*n*(d-2))", bits, budget_bits,
-                          hint="use a smaller l or raise the budget")
-
-    zero_tuples = Q ** (n * (d - 2)) - (Q ** n - 1) ** (d - 2)
-    return zero_tuples * Q ** n + (Q - 1) ** (d - 2) * proj_sum(Fl, K)
-
-
 def _square_rows(M: Sequence[int], n: int) -> list[list[int]]:
     return [list(M[i * n:(i + 1) * n]) for i in range(n)]
 
 
-def _point_sums(Fl: MultilinearForm, K) -> int:
-    Q, n = K.q, Fl.n
-    return sum(Q ** (n - matrix_rank(_square_rows(Fl._contract_prefix(vecs), n), n, K))
-               for vecs in product(projective_points(Q, n), repeat=Fl.d - 2))
+@functools.lru_cache(maxsize=None)
+def _orbits(K, n: int, k: int, q: int) -> tuple:
+    """(tuple, size) per orbit of x -> x^q on k-tuples of projective points of F_Q^n.
 
-
-def _line_sums(Fl: MultilinearForm, K) -> int:
-    """_point_sums by lines: contract the first d-3 projective vectors, then _line_kernel."""
-    slice_sum = _line_kernel(K, Fl.n)
-    if Fl.d == 3:
-        return slice_sum(Fl.coeffs)
-    return sum(slice_sum(Fl._contract_prefix(vecs))
-               for vecs in product(projective_points(K.q, Fl.n), repeat=Fl.d - 3))
+    x -> x^q fixes 0 and 1, so it maps points with first nonzero 1 to such
+    points. An orbit is named by its first tuple in product order of
+    projective_points; with q = Q, or at most one point, each tuple is an orbit.
+    """
+    if not k:
+        return (((), 1),)
+    pts = projective_points(K.q, n)
+    if q == K.q or len(pts) < 2:
+        return tuple(zip(product(pts, repeat=k), repeat(1)))
+    frob = [K.pow(x, q) for x in range(K.q)]
+    index = {u: i for i, u in enumerate(pts)}
+    image = [index[tuple(map(frob.__getitem__, u))] for u in pts]
+    out = []
+    for t in product(range(len(pts)), repeat=k):
+        orbit = [t]
+        while (s := tuple(map(image.__getitem__, orbit[-1]))) != t:
+            orbit.append(s)
+        if min(orbit) == t:
+            out.append((tuple(pts[i] for i in t), len(orbit)))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
 def _line_kernel(K, n: int):
-    """The function G -> sum over projective v of Q^(n - rank(sum_j v_j G_j)).
+    """The function (G, heads) -> sum over projective v of Q^(n - rank(sum_j v_j G_j)).
 
     G is a flat n x n x n form and G_j its n x n block with first index j.
     The projective points are the lines {(u, t) : t in F_Q}, one for each
-    projective point u of F_Q^(n-1), and the point e_{n-1}. Along a line
+    projective point u of F_Q^(n-1), and the point e_{n-1}. heads lists
+    ((u,), w): each line is ranked once and counted w times, so when G has
+    coefficients in F_q a line may stand for its Frobenius orbit
+    (_orbits); w = 1 over every u gives the plain sum. Along a line
     the slice is P + tB, and each of its minors is a polynomial of degree
     <= n in t. Exact ranks are taken at the nodes t = 0..n (element
     indices); their largest, r, is the line's generic rank, and the node
@@ -355,10 +361,9 @@ def _line_kernel(K, n: int):
     Q, nn = K.q, n * n
     add, mul, sub = K.add, K.mul, K.sub
     weight = [Q ** (n - r) for r in range(n + 1)]
-    heads = projective_points(Q, n - 1)
     nodes = range(min(Q, n + 1))
     rest = range(n + 1, Q)
-    if heads and rest:
+    if n > 1 and rest:
         # 1/(x_i - x_{i-k}) for the divided differences, and the Newton
         # basis prod_{i<k} (t - x_i), k = 1..n, at every t off the nodes
         inv_diff = [[K.inv(sub(i, i - k)) if i >= k else 0 for i in range(n + 1)]
@@ -407,18 +412,18 @@ def _line_kernel(K, n: int):
                 s += weight[rank(pencil(P, B, t))] - weight[r]
         return s
 
-    def slice_sum(G: Sequence[int]) -> int:
+    def slice_sum(G: Sequence[int], heads) -> int:
         blocks = [G[j * nn:(j + 1) * nn] for j in range(n)]
         B = blocks[n - 1]
         total = weight[rank(B)]
-        for u in heads:
+        for (u,), w in heads:
             P = [0] * nn
             for x, bj in zip(u, blocks):
                 if x:
                     for k in range(nn):
                         if bj[k]:
                             P[k] = add(P[k], bj[k] if x == 1 else mul(x, bj[k]))
-            total += line(P, B)
+            total += w * line(P, B)
         return total
 
     return slice_sum
@@ -751,12 +756,6 @@ def _box_gate(G: IntMultilinearForm, box: BoxSpec, budget_bits: float) -> None:
         raise BudgetError("box enumeration width^(n(d-1))", bits, budget_bits)
 
 
-def _box_eval_ok(vals: Sequence[int], L: int | None) -> bool:
-    if L is None:
-        return not any(vals)
-    return all(v % L == 0 for v in vals)
-
-
 def _box_pure(G: IntMultilinearForm, box: BoxSpec, collect: bool):
     coords = box.coords()
     w = len(coords)
@@ -773,8 +772,7 @@ def _box_pure(G: IntMultilinearForm, box: BoxSpec, collect: bool):
             t, r = divmod(t, w)
             pos[k] = coords[r]
         vecs = [pos[k * n:(k + 1) * n] for k in range(d - 1)]
-        vals = G.contract_last(vecs)
-        if _box_eval_ok(vals, L):
+        if not any(v % L if L else v for v in G.contract_last(vecs)):
             count += 1
             if collect:
                 sols.append(tuple(pos))

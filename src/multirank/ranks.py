@@ -218,10 +218,9 @@ def verify_rank_one_certificate(F: MultilinearForm,
     for t in terms:
         if not any(t.g) or not any(t.h):
             return False
-        for i, v in enumerate(t.expand(F.field, F.n, F.d)):
-            acc[i] = K.add(acc[i], v)
-        flat = MultilinearForm(F.field, F.d, F.n,
-                               t.expand(F.field, F.n, F.d)).flattening(t.slots)
+        coeffs = t.expand(F.field, F.n, F.d)
+        acc = list(map(K.add, acc, coeffs))
+        flat = MultilinearForm(F.field, F.d, F.n, coeffs).flattening(t.slots)
         if matrix_rank([row[:] for row in flat], len(flat[0]), K) != 1:
             return False
     return tuple(acc) == F.coeffs

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from multirank import counting
 from multirank.errors import BudgetError
 from multirank.field import kernel, make_field
 from multirank.counting import (
@@ -23,6 +24,7 @@ from multirank.counting import (
     count_SF_naive,
     count_singular,
     fiber_counts,
+    level_form,
     level_poly,
     matrix_rank,
     projective_points,
@@ -369,8 +371,6 @@ def test_count_box_mod_L():
 
 def test_box_lattice_matches_pure():
     # the lattice kernel against the literal pair scan, same inputs
-    from multirank import counting
-
     G = random_int_form(3, 2, 3, 77)
     box = BoxSpec(8, signed=True, modulus=50)
     pure = counting._box_pure(G, box, True)
@@ -427,16 +427,21 @@ def test_matrix_rank_small():
 FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 5: F5}
 
 
+# (q, n, d, R) over q in {2, 3, 4, 5}, n <= 2, d in {2, 3, 4}, R <= 3
+FORM_SHAPES = [(q, n, d, R) for q in sorted(FIELDS) for n in (1, 2) for d in (2, 3, 4)
+               for R in (1, 2, 3)]
+
+
 @st.composite
 def small_forms(draw, max_log_space=12):
-    """(F, extra): a random form over q in {2, 3, 4, 5}, n <= 2, d in {2, 3, 4}."""
-    q = draw(st.sampled_from(sorted(FIELDS)))
-    n = draw(st.integers(1, 2))
-    d = draw(st.sampled_from((2, 3, 4)))
-    F = random_form(FIELDS[q], d, n, draw(st.integers(0, 2 ** 32 - 1)))
-    # the largest degree bound whose full space q^(n(d-1)R) stays small
-    rmax = max(1, int(max_log_space / (n * (d - 1) * math.log2(q))))
-    return F, draw(st.integers(1, min(rmax, 3)))
+    """(F, R): a random form and a degree bound, drawn together.
+
+    Only shapes whose full space q^(n(d-1)R) stays within 2^max_log_space
+    are drawn, so each R value of a shape is its own case.
+    """
+    q, n, d, R = draw(st.sampled_from([(q, n, d, R) for q, n, d, R in FORM_SHAPES
+                                       if n * (d - 1) * R * math.log2(q) <= max_log_space]))
+    return random_form(FIELDS[q], d, n, draw(st.integers(0, 2 ** 32 - 1))), R
 
 
 @seed(20241001)
@@ -475,7 +480,9 @@ def test_count_singular_matches_direct_evaluation_property(q, n, d, l, s):
 @given(small_forms(max_log_space=8), st.data())
 def test_fiber_counts_match_count_fiber_property(case, data):
     F, a = case
-    b = data.draw(st.integers(0, a))
+    # half the draws with a >= 2 keep 0 < b < a, where the kept coefficients
+    # mod t^b and the free ones differ
+    b = data.draw(st.integers(1, a - 1) | st.integers(0, a) if a > 1 else st.integers(0, a))
     q, n, d = F.field.q, F.n, F.d
     hist = fiber_counts(F, a, b)
     targets = itertools.product(itertools.product(itertools.product(range(q), repeat=b),
@@ -529,10 +536,24 @@ def test_count_sf_line_kernel_matches_naive_property(shape, kind, s):
     assert count_SF(F, l) == count_SF_naive(F, l)
 
 
+def count_SF_points(F, l=1):
+    """Oracle for count_SF at d >= 3: one exact rank per projective (d-2)-tuple.
+
+    Tuples containing a zero vector have the zero slice; every other tuple
+    is a projective one scaled in each slot, (Q-1)^(d-2) ways.
+    """
+    Fl = level_form(F, l)
+    K = kernel(Fl.field)
+    Q, n, d = K.q, F.n, F.d
+    tuples = itertools.product(projective_points(Q, n), repeat=d - 2)
+    proj = sum(Q ** (n - matrix_rank([M[i * n:(i + 1) * n] for i in range(n)], n, K))
+               for M in map(Fl._contract_prefix, tuples))
+    zero_tuples = Q ** (n * (d - 2)) - (Q ** n - 1) ** (d - 2)
+    return zero_tuples * Q ** n + (Q - 1) ** (d - 2) * proj
+
+
 def test_line_kernel_matches_per_point_oracle():
     """Sizes beyond the naive counter: the line kernel against one rank per slice."""
-    from multirank import counting
-
     F4, F7 = make_field(2, 2), make_field(7, 1)
     # the last two interpolate n >= 3 determinants in odd characteristic,
     # where elimination's row swaps flip the sign
@@ -540,7 +561,60 @@ def test_line_kernel_matches_per_point_oracle():
                            (F2, 4, 3, 2), (F3, 3, 3, 3), (F7, 3, 4, 1)]:
         for kind, s in [("random", 1), ("random", 2), ("diagonal", n - 1), ("rank-one", 3)]:
             F = sf_test_form(kind, field, d, n, s)
-            assert counting.count_SF(F, l) == counting._count_SF_points(F, l), (field, d, n, l, kind)
+            assert count_SF(F, l) == count_SF_points(F, l), (field, d, n, l, kind)
+
+
+def assert_frobenius_orbits(K, n, k, e):
+    """counting._orbits(K, n, k, q), q = p^e, against FieldElement.frobenius.
+
+    Its orbits must partition the k-tuples of projective points of F_Q^n,
+    each named by its first tuple in product order, with its size.
+    """
+    pts = projective_points(K.q, n)
+    pos = {u: i for i, u in enumerate(pts)}
+    el = K.spec.element
+
+    def frob(t):
+        return tuple(tuple(el(x).frobenius(e).index for x in u) for u in t)
+
+    covered = []
+    for rep, size in counting._orbits(K, n, k, K.p ** e):
+        orbit = [rep]
+        while frob(orbit[-1]) != rep:
+            orbit.append(frob(orbit[-1]))
+        assert len(orbit) == size
+        assert min(orbit, key=lambda t: [pos[u] for u in t]) == rep
+        covered += orbit
+    assert sorted(covered) == sorted(itertools.product(pts, repeat=k))
+
+
+BASE_FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 9: make_field(3, 2)}
+# (q, l, n, d) over base fields F_2, F_3, F_4, F_9, l <= 4, n <= 3, d in {3, 4},
+# with at most 2^13 projective (d-2)-tuples at level l for the per-point oracle
+ORBIT_SHAPES = [(q, l, n, d) for q in BASE_FIELDS for l in (1, 2, 3, 4) for n in (1, 2, 3)
+                for d in (3, 4) if ((q ** (l * n) - 1) // (q ** l - 1)) ** (d - 2) <= 1 << 13]
+
+
+@seed(20241007)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ORBIT_SHAPES), st.sampled_from(("random", "random", "diagonal", "rank-one")),
+       st.integers(0, 2 ** 32 - 1))
+def test_count_sf_frobenius_orbits_property(shape, kind, s):
+    """count_SF at level l ranks one line (d = 3) or one prefix (d = 4) per
+    orbit of x -> x^q; random and rank-one forms over F_4 and F_9 take
+    coefficients outside the prime field, so x -> x^p is no symmetry."""
+    q, l, n, d = shape
+    field = BASE_FIELDS[q]
+    F = sf_test_form(kind, field, d, n, s)
+    count = count_SF(F, l)
+    assert count == count_SF_points(F, l)
+    if q ** (l * n * (d - 1)) <= 1 << 16:
+        assert count == count_SF_naive(F, l)
+    K = kernel(level_form(F, l).field)
+    if d == 3:
+        assert_frobenius_orbits(K, n - 1, 1, field.e)  # heads of the lines
+    else:
+        assert_frobenius_orbits(K, n, d - 3, field.e)  # contracted prefixes
 
 
 BIG = 1 << 62  # values near it overflow int64 products, so exact integers matter
@@ -574,8 +648,6 @@ def box_cases(draw, max_log_space=11):
 @settings(max_examples=150, deadline=None)
 @given(box_cases())
 def test_box_lattice_matches_pure_property(case):
-    from multirank import counting
-
     G, box = case
     assert counting._box_lattice(G, box, True) == counting._box_pure(G, box, True)
     assert counting._box_lattice(G, box, False)[0] == counting._box_pure(G, box, False)[0]
