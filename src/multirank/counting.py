@@ -27,10 +27,15 @@ coordinate by coordinate in ascending order. The literal scan
 `_box_pure` is kept as the differential oracle.
 
 The F_q[t] counters (count_NR, fiber_counts) enumerate the prefix blocks
-and solve the last block's linear system; that system is linear in the
-last prefix block, so only its zero and projective values are walked,
-and count_singular evaluates the origin and the projective points. The
-literal enumerations stay as oracles (count_fiber, and in the tests).
+and solve the last block's linear system. A polynomial of degree < R is
+a binary form of degree R-1, so GL_2(F_q), acting on every block at once,
+and scaling one block map the solutions to solutions: count_NR ranks one
+prefix per orbit, weighted by its size. fiber_counts keys its counts by
+the prefix mod t^b, which only t -> a t preserves; its system is linear
+in the last prefix block, so only that block's zero and projective
+values are walked. count_singular evaluates the origin and the
+projective points. The literal enumerations stay as oracles
+(count_fiber, and in the tests).
 Budget gates keep their full-space exponents and raise BudgetError
 naming the offending one; nothing is silently truncated.
 """
@@ -312,30 +317,50 @@ def _square_rows(M: Sequence[int], n: int) -> list[list[int]]:
     return [list(M[i * n:(i + 1) * n]) for i in range(n)]
 
 
+def _orbit_reps(items: Sequence, k: int, gens) -> tuple:
+    """(tuple, size) per orbit of the group generated by gens on k-tuples of items.
+
+    A generator maps the item at position j through g[j], a permutation of
+    item indices. Tuples are indexed in product order with one seen-byte
+    each, so each orbit is named by its first tuple.
+    """
+    m = len(items)
+    place = [m ** (k - 1 - j) for j in range(k)]
+    tables = [[[v * w for v in perm] for perm, w in zip(g, place)] for g in gens]
+    seen = bytearray(m ** k)
+    out = []
+    for first in range(m ** k):
+        if seen[first]:
+            continue
+        seen[first] = 1
+        stack, size = [first], 0
+        while stack:
+            i = stack.pop()
+            digits = [i // w % m for w in place]
+            size += 1
+            for tab in tables:
+                j = sum(map(operator.getitem, tab, digits))
+                if not seen[j]:
+                    seen[j] = 1
+                    stack.append(j)
+        out.append((tuple(items[first // w % m] for w in place), size))
+    return tuple(out)
+
+
 @functools.lru_cache(maxsize=None)
 def _orbits(K, n: int, k: int, q: int) -> tuple:
     """(tuple, size) per orbit of x -> x^q on k-tuples of projective points of F_Q^n.
 
     x -> x^q fixes 0 and 1, so it maps points with first nonzero 1 to such
     points. An orbit is named by its first tuple in product order of
-    projective_points; with q = Q, or at most one point, each tuple is an orbit.
+    projective_points; with q = Q each tuple is an orbit.
     """
     if not k:
         return (((), 1),)
     pts = projective_points(K.q, n)
-    if q == K.q or len(pts) < 2:
-        return tuple(zip(product(pts, repeat=k), repeat(1)))
     frob = [K.pow(x, q) for x in range(K.q)]
     index = {u: i for i, u in enumerate(pts)}
-    image = [index[tuple(map(frob.__getitem__, u))] for u in pts]
-    out = []
-    for t in product(range(len(pts)), repeat=k):
-        orbit = [t]
-        while (s := tuple(map(image.__getitem__, orbit[-1]))) != t:
-            orbit.append(s)
-        if min(orbit) == t:
-            out.append((tuple(pts[i] for i in t), len(orbit)))
-    return tuple(out)
+    return _orbit_reps(pts, k, [[[index[tuple(map(frob.__getitem__, u))] for u in pts]] * k])
 
 
 @functools.lru_cache(maxsize=None)
@@ -571,7 +596,7 @@ def _last_block_system(M: Sequence[Sequence[int]], n: int, R: int, nrows_deg: in
 
 
 def _prefix_systems(F: MultilinearForm, K, deg: int, nrows_deg: int, trunc: int | None):
-    """Yield (head, x, rows): every last-block system of the ring counters, up to scaling.
+    """Yield (head, x, rows): every last-block system of fiber_counts, up to scaling.
 
     head runs over the first d-3 prefix blocks, x over the zero last prefix
     block and the projective ones (flat digits, first nonzero 1). rows is
@@ -604,15 +629,50 @@ def _prefix_systems(F: MultilinearForm, K, deg: int, nrows_deg: int, trunc: int 
         yield from walk(0, (), [0] * (n * nrows_deg * N))
 
 
+@functools.lru_cache(maxsize=None)
+def _prefix_orbits(K, n: int, R: int, blocks: int) -> tuple:
+    """(polynomials, size) per orbit of the prefix tuples of count_NR.
+
+    A prefix is blocks vectors of n polynomials of degree < R, listed as
+    n * blocks coefficient tuples (t^0 first). The group is generated by
+    t -> t + 1, t -> g t, the reversal x(t) -> t^(R-1) x(1/t), all acting
+    on every polynomial, and by scaling one block by g, where g generates
+    F_q^*. Orbits are named by their first tuple in product order.
+    """
+    if not blocks:
+        return (((), 1),)
+    q, mul = K.q, K.mul
+    polys = list(product(range(q), repeat=R))
+    index = {c: i for i, c in enumerate(polys)}
+    g = next(c for c in range(1, q) if len({K.pow(c, i) for i in range(q - 1)}) == q - 1)
+
+    def perm(f) -> list[int]:
+        return [index[tuple(f(c))] for c in polys]
+
+    # x(t + 1) = sum_j (sum_s C(s, j) c_s) t^j, binomials in the prime field
+    shift = perm(lambda c: [functools.reduce(K.add, [mul(math.comb(s, j) % K.p, c[s])
+                                                     for s in range(j, R)]) for j in range(R)])
+    rev = perm(lambda c: c[::-1])
+    dil = perm(lambda c: [mul(K.pow(g, s), x) for s, x in enumerate(c)])
+    scale = perm(lambda c: [mul(g, x) for x in c])
+    k = n * blocks
+    gens = [[h] * k for h in (shift, rev, dil)]
+    gens += [[scale if j // n == b else range(len(polys)) for j in range(k)] for b in range(blocks)]
+    return _orbit_reps(polys, k, gens)
+
+
 def count_NR(F: MultilinearForm, R: int,
              budget_bits: float = DEFAULT_BUDGET_BITS) -> int:
     """Solutions x in (F_q[t]^n)^(d-1), entry degrees < R, with F(x, e_i) = 0 for all i.
 
     Enumerates the first d-2 blocks and solves the exact linear system for
-    the last block; each prefix contributes q^(nR - rank). Scaling the last
-    prefix block by c != 0 scales the system, so only its zero and
-    projective values are enumerated, the latter counted q-1 times
-    (_prefix_systems).
+    the last block; each prefix contributes q^(nR - rank). A polynomial of
+    degree < R is a binary form of degree R-1, x(t) <-> s^(R-1) x(t/s), so
+    GL_2(F_q) acts on every block at once; F has constant coefficients, so
+    the equations F(x, e_i) = 0, homogenised of degree (d-1)(R-1), are
+    carried along by the same change of (s, t). With scaling each block by
+    F_q^*, the prefix count is constant on an orbit: one representative per
+    orbit is ranked, weighted by the orbit's size (_prefix_orbits).
     """
     if R < 1:
         raise ValueError("degree bound R must be >= 1")
@@ -626,9 +686,14 @@ def count_NR(F: MultilinearForm, R: int,
         raise BudgetError("polynomial-ring prefix enumeration", prefix_bits, budget_bits)
 
     unknowns = n * R
+    coeffs0: Sequence[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
     total = 0
-    for _, x, rows in _prefix_systems(F, K, R, (d - 1) * (R - 1) + 1, None):
-        total += (q - 1 if any(x) else 1) * q ** (unknowns - matrix_rank(rows, unknowns, K))
+    for prefix, w in _prefix_orbits(K, n, R, d - 2):
+        cur = coeffs0
+        for k in range(d - 2):
+            cur = _contract_poly_first(cur, d - k, n, prefix[k * n:(k + 1) * n], K, None)
+        rows = _last_block_system(cur, n, R, (d - 1) * (R - 1) + 1, None)
+        total += w * q ** (unknowns - matrix_rank(rows, unknowns, K))
     return total
 
 

@@ -208,6 +208,14 @@ def test_count_singular_examples():
     assert count_singular(z, 2) == 625
 
 
+def poly_mul(K, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = K.add(out[i + j], K.mul(x, y))
+    return out
+
+
 def naive_count_NR(F, R):
     """Oracle: literal enumeration of polynomial blocks."""
     q, n, d = F.field.q, F.n, F.d
@@ -223,13 +231,6 @@ def naive_count_NR(F, R):
                 cs.append(r)
             polys.append(tuple(cs))
         return polys
-
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = K.add(out[i + j], K.mul(x, y))
-        return out
 
     count = 0
     for flat in range(space ** (d - 1)):
@@ -247,7 +248,7 @@ def naive_count_NR(F, R):
                     continue
                 term = [c]
                 for k, j in enumerate(idx):
-                    term = poly_mul(term, blocks[k][j])
+                    term = poly_mul(K, term, blocks[k][j])
                 if len(acc) < len(term):
                     acc += [0] * (len(term) - len(acc))
                 for s, v in enumerate(term):
@@ -615,6 +616,124 @@ def test_count_sf_frobenius_orbits_property(shape, kind, s):
         assert_frobenius_orbits(K, n - 1, 1, field.e)  # heads of the lines
     else:
         assert_frobenius_orbits(K, n, d - 3, field.e)  # contracted prefixes
+
+
+def count_NR_prefixes(F, R):
+    """Oracle for count_NR: one exact rank per prefix tuple, no symmetry.
+
+    For each prefix of d-2 blocks, M[j*n + i] = F(prefix, e_j, e_i) is
+    multiplied out term by term, and the last block's system is ranked.
+    """
+    K = kernel(F.field)
+    q, n, d = K.q, F.n, F.d
+    polys = list(itertools.product(range(q), repeat=R))
+    total = 0
+    for prefix in itertools.product(itertools.product(polys, repeat=n), repeat=d - 2):
+        M = []
+        for j, i in itertools.product(range(n), repeat=2):
+            acc = [0] * ((d - 2) * (R - 1) + 1)
+            for idx in itertools.product(range(n), repeat=d - 2):
+                term = [F.coeff(idx + (j, i)).index]
+                for block, m in zip(prefix, idx):
+                    term = poly_mul(K, term, block[m])
+                acc = [K.add(x, y) for x, y in zip(acc, term)]
+            M.append(acc)
+        rows = counting._last_block_system(M, n, R, (d - 1) * (R - 1) + 1, None)
+        total += q ** (n * R - matrix_rank(rows, n * R, K))
+    return total
+
+
+NR_FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 5: F5, 9: make_field(3, 2)}
+# (q, n, d, R) over F_2, F_3, F_4, F_5, F_9, n <= 2, d in {2, 3, 4}, R <= 4,
+# with at most 2^12 prefix tuples for the oracle
+NR_SHAPES = [(q, n, d, R) for q in NR_FIELDS for n in (1, 2) for d in (2, 3, 4)
+             for R in (1, 2, 3, 4) if q ** (n * R * (d - 2)) <= 1 << 12]
+
+
+@seed(20241008)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(NR_SHAPES), st.sampled_from(("random", "random", "diagonal", "rank-one")),
+       st.integers(0, 2 ** 32 - 1))
+def test_count_nr_orbits_match_every_prefix_property(shape, kind, s):
+    """count_NR ranks one prefix per orbit of GL_2(F_q) and block scaling;
+    R >= 3 is where the translations and the reversal act."""
+    q, n, d, R = shape
+    F = sf_test_form(kind, NR_FIELDS[q], d, n, s)
+    count = count_NR(F, R)
+    assert count == count_NR_prefixes(F, R)
+    if q ** (n * (d - 1) * R) <= 1 << 12:
+        assert count == naive_count_NR(F, R)
+
+
+def substitution_orbits(K, n, R, blocks):
+    """Orbits of count_NR's prefix tuples, by direct substitution.
+
+    The maps are x -> x(a t + b) for every a != 0 and b on every
+    polynomial, computed by Horner's rule, the reversal of the R
+    coefficients, and c * x on one block for every c != 0.
+    """
+    q, add, mul = K.q, K.add, K.mul
+
+    def compose(c, a, b):
+        out = [0] * R
+        for x in reversed(c):
+            nxt = [0] * R
+            for s, v in enumerate(out):
+                if v:
+                    nxt[s] = add(nxt[s], mul(v, b))
+                    nxt[s + 1] = add(nxt[s + 1], mul(v, a))
+            nxt[0] = add(nxt[0], x)
+            out = nxt
+        return tuple(out)
+
+    maps = [lambda t, a=a, b=b: tuple(compose(c, a, b) for c in t)
+            for a in range(1, q) for b in range(q)]
+    maps.append(lambda t: tuple(c[::-1] for c in t))
+    maps += [lambda t, k=k, c=c: tuple(tuple(mul(c, x) for x in p) if j // n == k else p
+                                       for j, p in enumerate(t))
+             for k in range(blocks) for c in range(1, q)]
+    orbit_of, orbits = {}, []
+    for t in itertools.product(itertools.product(range(q), repeat=R), repeat=n * blocks):
+        if t in orbit_of:
+            continue
+        orbit, todo = {t}, [t]
+        while todo:
+            u = todo.pop()
+            for g in maps:
+                v = g(u)
+                if v not in orbit:
+                    orbit.add(v)
+                    todo.append(v)
+        for u in orbit:
+            orbit_of[u] = len(orbits)
+        orbits.append(orbit)
+    return orbit_of, orbits
+
+
+@pytest.mark.parametrize("q, n, R, blocks", [
+    (q, n, R, blocks) for q in NR_FIELDS for n in (1, 2) for R in (1, 2, 3, 4)
+    for blocks in (1, 2) if q ** (n * R * blocks) <= 1 << 10])
+def test_prefix_orbits_by_direct_substitution(q, n, R, blocks):
+    """The orbit list of count_NR partitions the prefix tuples into orbits
+    closed under the substitutions, each named by its first tuple in
+    product order and weighted by its size."""
+    K = kernel(NR_FIELDS[q])
+    listed = counting._prefix_orbits(K, n, R, blocks)
+    orbit_of, orbits = substitution_orbits(K, n, R, blocks)
+    assert sum(size for _, size in listed) == q ** (n * R * blocks)
+    assert sorted(orbit_of[rep] for rep, _ in listed) == list(range(len(orbits)))
+    for rep, size in listed:
+        orbit = orbits[orbit_of[rep]]
+        assert rep == min(orbit)
+        assert size == len(orbit)
+
+
+def test_prefix_orbit_counts_pinned():
+    """n = 2, d = 3, zero orbit included; a dropped generator leaves every
+    count right but raises these."""
+    for field, counts in ((F2, (5, 20, 56)), (F3, (6, 35, 171))):
+        K = kernel(field)
+        assert tuple(len(counting._prefix_orbits(K, 2, R, 1)) for R in (2, 3, 4)) == counts
 
 
 BIG = 1 << 62  # values near it overflow int64 products, so exact integers matter
