@@ -54,13 +54,9 @@ class RunConfig:
     options: dict = dc_field(default_factory=dict)
 
 
-def _emit(doc, fmt: str = "json", stream=None) -> None:
-    stream = stream or sys.stdout
-    if fmt == "json":
-        json.dump(doc, stream, sort_keys=True)
-        stream.write("\n")
-    else:
-        raise InputError(f"unsupported format {fmt!r}")
+def _emit(doc) -> None:
+    json.dump(doc, sys.stdout, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def _emit_lines(rows: Iterable[dict], fmt: str, fields: list[str], stream=None) -> None:
@@ -297,10 +293,7 @@ def run(config: RunConfig) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:

@@ -1,9 +1,16 @@
 """Exact point counting.
 
 All counts are arbitrary-precision integers; no floating point enters
-until rank extraction. The primary engine for |S_F| is the rank trick:
-summing Q^(n - rank(slice_matrix)) over (d-2)-tuples instead of scanning
-all (d-1)-tuples. Since the slice rank is invariant under scaling each
+until rank extraction. Every rank, determinant and kernel over F_q comes
+from one Gaussian elimination without row swaps (_eliminate), which
+returns the pivot rows and columns: matrix_rank counts them, the line
+kernel takes its nonzero minor from them, _rank_det multiplies the
+pivots (cofactors instead for n <= 3), and nullspace_basis solves the
+pivot rows by back substitution.
+
+The primary engine for |S_F| is the rank trick: summing
+Q^(n - rank(slice_matrix)) over (d-2)-tuples instead of scanning all
+(d-1)-tuples. Since the slice rank is invariant under scaling each
 slot vector, the enumeration runs over projective representatives and is
 multiplied back by (Q-1)^(d-2); tuples containing a zero vector
 contribute a closed form. The slice ranks are taken one projective line
@@ -61,94 +68,66 @@ BOX_BUDGET_BITS = 34
 # linear algebra over F_q on element indices
 # ---------------------------------------------------------------------------
 
-def matrix_rank(rows: list[list[int]], ncols: int, K) -> int:
-    """Gaussian elimination with first-nonzero pivoting; rows are mutated."""
-    n = ncols
-    if len(rows) == 1:
-        return 1 if any(rows[0]) else 0
-    if n == 2 and len(rows) == 2:
-        a, b = rows[0]
-        c, d = rows[1]
-        if K.sub(K.mul(a, d), K.mul(b, c)):
-            return 2
-        return 1 if (a or b or c or d) else 0
-    mul, sub, inv = K.mul, K.sub, K.inv
-    rank = 0
-    m = len(rows)
-    for col in range(n):
-        piv = None
-        for r in range(rank, m):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pinv = inv(prow[col])
-        for r in range(rank + 1, m):
-            v = rows[r][col]
-            if v:
-                f = mul(v, pinv)
-                rr = rows[r]
-                for c2 in range(col + 1, n):
-                    if prow[c2]:
-                        rr[c2] = sub(rr[c2], mul(f, prow[c2]))
-                rr[col] = 0
-        rank += 1
-        if rank == m:
-            break
-    return rank
+def _eliminate(rows: list[list[int]], ncols: int, K) -> tuple[list[int], list[int]]:
+    """Gaussian elimination in place, without row swaps.
 
-
-def _eliminate(M: Sequence[int], n: int, K) -> tuple[int, list[int], list[int]]:
-    """Gaussian elimination of the n x n matrix M, flat in row-major order.
-
-    Returns det(M) and the pivot rows (original indices, in pivot order)
-    and columns; their number is the rank, and M restricted to them is
-    nonsingular.
+    A column's pivot is the first row, in the original order, that is not
+    a pivot row yet and is nonzero there; the column is then cleared from
+    the rows that are not pivot rows. Returns the pivot rows (original
+    indices, in pivot order) and their columns. Their number is the rank,
+    the matrix restricted to them is nonsingular, the reduced pivot row
+    prows[k] is zero before column pcols[k], and the other rows end up zero.
     """
-    mul, sub = K.mul, K.sub
-    rows = _square_rows(M, n)
-    order = list(range(n))
+    mul, sub, inv = K.mul, K.sub, K.inv
+    live = list(range(len(rows)))
+    prows: list[int] = []
     pcols: list[int] = []
-    det = 1
-    for col in range(n):
-        rank = len(pcols)
-        for piv in range(rank, n):
+    for col in range(ncols):
+        for piv in live:
             if rows[piv][col]:
                 break
         else:
             continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            order[rank], order[piv] = order[piv], order[rank]
-            det = K.neg(det)
-        prow = rows[rank]
-        det = mul(det, prow[col])
-        pinv = K.inv(prow[col])
-        for r in range(rank + 1, n):
+        live.remove(piv)
+        prow = rows[piv]
+        pinv = inv(prow[col])
+        for r in live:
             rr = rows[r]
             v = rr[col]
             if v:
                 f = mul(v, pinv)
-                for c2 in range(col + 1, n):
+                for c2 in range(col + 1, ncols):
                     if prow[c2]:
                         rr[c2] = sub(rr[c2], mul(f, prow[c2]))
+                rr[col] = 0
+        prows.append(piv)
         pcols.append(col)
-    rank = len(pcols)
-    return (det if rank == n else 0), order[:rank], pcols
+        if not live:
+            break
+    return prows, pcols
+
+
+def matrix_rank(rows: list[list[int]], ncols: int, K) -> int:
+    """Rank over F_q: the number of pivots of _eliminate; rows are mutated."""
+    return len(_eliminate(rows, ncols, K)[0])
 
 
 def _rank_det(M: Sequence[int], n: int, K) -> tuple[int, int]:
     """Rank and determinant of the n x n matrix M, flat in row-major order.
 
     Cofactors for n <= 3, where the 2 x 2 minors also settle the rank of
-    a singular 3 x 3 matrix; elimination for larger n.
+    a singular 3 x 3 matrix. For larger n, _eliminate: the determinant is
+    the product of the pivots, negated when the pivot rows are an odd
+    permutation of 0..n-1.
     """
     if n > 3:
-        det, _, cols = _eliminate(M, n, K)
-        return len(cols), det
+        rows = _square_rows(M, n)
+        prows, pcols = _eliminate(rows, n, K)
+        if len(prows) < n:
+            return len(prows), 0
+        det = functools.reduce(K.mul, [rows[i][c] for i, c in zip(prows, pcols)])
+        odd = sum(a > b for k, a in enumerate(prows) for b in prows[k + 1:]) % 2
+        return n, K.neg(det) if odd else det
     if n == 0:
         return 0, 1
     if n == 1:
@@ -173,42 +152,25 @@ def _rank_det(M: Sequence[int], n: int, K) -> tuple[int, int]:
 
 
 def nullspace_basis(rows: list[list[int]], ncols: int, K) -> list[list[int]]:
-    """Basis of the right kernel; rows are reduced in place."""
-    m = len(rows)
-    piv_cols: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, m):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pinv = K.inv(rows[rank][col])
-        if pinv != 1:
-            rows[rank] = [K.mul(pinv, v) for v in rows[rank]]
-        prow = rows[rank]
-        for r in range(m):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [K.sub(x, K.mul(f, pc)) for x, pc in zip(rows[r], prow)]
-        piv_cols.append(col)
-        rank += 1
-        if rank == m:
-            break
-    pivset = set(piv_cols)
+    """Basis of the right kernel; rows are reduced in place by _eliminate.
+
+    One vector per non-pivot column, in ascending order: 1 there, 0 at the
+    other non-pivot columns, and its pivot entries by back substitution.
+    """
+    mul, sub, inv = K.mul, K.sub, K.inv
+    prows, pcols = _eliminate(rows, ncols, K)
+    pivots = [(rows[i], c, inv(rows[i][c])) for i, c in zip(prows, pcols)][::-1]
     basis = []
-    for fc in range(ncols):
-        if fc in pivset:
-            continue
+    for fc in sorted(set(range(ncols)).difference(pcols)):
         vec = [0] * ncols
         vec[fc] = 1
-        for r, pc in enumerate(piv_cols):
-            v = rows[r][fc]
-            if v:
-                vec[pc] = K.neg(v)
+        for row, c, pinv in pivots:
+            s = 0
+            for j in range(c + 1, ncols):
+                if row[j] and vec[j]:
+                    s = sub(s, mul(row[j], vec[j]))
+            if s:
+                vec[c] = mul(s, pinv)
         basis.append(vec)
     return basis
 
@@ -422,7 +384,7 @@ def _line_kernel(K, n: int):
         if r == n:
             c = [det for _, det in at_nodes]
         else:
-            _, rows, cols = _eliminate(Ms[ranks.index(r)], n, K)
+            rows, cols = _eliminate(_square_rows(Ms[ranks.index(r)], n), n, K)
             c = [_rank_det([M[i * n + j] for i in rows for j in cols], r, K)[1] for M in Ms]
         for k, inv_k in enumerate(inv_diff, 1):
             for i in range(n, k - 1, -1):
@@ -983,19 +945,15 @@ def _box_lattice(G: IntMultilinearForm, box: BoxSpec, collect: bool):
     return solve(G.coeffs, G.d, ()), sols
 
 
-def _box_dispatch(G: IntMultilinearForm, box: BoxSpec, collect: bool,
-                  budget_bits: float):
-    _box_gate(G, box, budget_bits)
-    return _box_lattice(G, box, collect)
-
-
 def count_box(G: IntMultilinearForm, box: BoxSpec,
               budget_bits: float = BOX_BUDGET_BITS) -> int:
     """Exact count of x in the box with G(x, e_i) = 0 for all i (mod L if set)."""
-    return _box_dispatch(G, box, collect=False, budget_bits=budget_bits)[0]
+    _box_gate(G, box, budget_bits)
+    return _box_lattice(G, box, collect=False)[0]
 
 
 def box_solutions(G: IntMultilinearForm, box: BoxSpec,
                   budget_bits: float = BOX_BUDGET_BITS) -> list[tuple[int, ...]]:
     """The solutions themselves, as flat coordinate tuples in enumeration order."""
-    return _box_dispatch(G, box, collect=True, budget_bits=budget_bits)[1]
+    _box_gate(G, box, budget_bits)
+    return _box_lattice(G, box, collect=True)[1]

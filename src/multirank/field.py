@@ -545,11 +545,8 @@ class FieldEmbedding:
         acc = 0
         for d, gp in zip(src_digits, self._gen_powers):
             if d:
-                # d is a prime-field scalar: add gp to itself d times
-                term = 0
-                for _ in range(d):
-                    term = K.add(term, gp)
-                acc = K.add(acc, term)
+                # d is a prime-field scalar, whose index is d
+                acc = K.add(acc, K.mul(d, gp))
         return acc
 
     def apply(self, a: FieldElement) -> FieldElement:
@@ -598,15 +595,13 @@ def embed(src: FieldSpec, tgt: FieldSpec) -> FieldEmbedding:
         raise ValueError(f"degree {src.e} does not divide {tgt.e}")
     Kt = kernel(tgt)
     mod = src.modulus
-    p = src.p
     root = None
     for z in range(tgt.q):
-        # Horner evaluation of src.modulus at z; coefficients are prime scalars
+        # Horner evaluation of src.modulus at z; coefficients are prime
+        # scalars, and a prime scalar c < p has index c
         acc = 0
         for c in reversed(mod):
-            acc = Kt.mul(acc, z)
-            for _ in range(c):
-                acc = Kt.add(acc, 1)
+            acc = Kt.add(Kt.mul(acc, z), c)
         if acc == 0:
             root = z
             break

@@ -517,11 +517,8 @@ class HomogeneousForm:
             nexp = exp[:j] + (e - 1,) + exp[j + 1:]
             if self.field is None:
                 val = c * e
-            else:
-                K = kernel(self.field)
-                val = 0
-                for _ in range(e % self.field.p):
-                    val = K.add(val, c)
+            else:  # e mod p is a prime-field scalar, whose index is e mod p
+                val = kernel(self.field).mul(e % self.field.p, c)
             if val:
                 out[nexp] = val  # distinct inputs stay distinct after the shift
         return HomogeneousForm(self.field, self.n, max(self.d - 1, 0),

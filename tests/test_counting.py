@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -421,11 +422,69 @@ def test_matrix_rank_small():
     assert matrix_rank([r[:] for r in rows], 3, K) == 2
     rows = [[1, 0, 0], [2, 1, 0], [3, 4, 1]]
     assert matrix_rank([r[:] for r in rows], 3, K) == 3
+    assert matrix_rank([[0, 0, 0]], 3, K) == 0
+    assert matrix_rank([[0, 0, 3]], 3, K) == 1
+    tall = [[1, 2], [2, 4], [3, 0], [0, 0]]  # rows 0 and 1 are parallel
+    assert matrix_rank([r[:] for r in tall], 2, K) == 2
+    assert matrix_rank([r[:] for r in tall[:2]], 2, K) == 1
+    wide = [[0, 1, 2, 3], [0, 2, 4, 1]]  # row 1 = 2 * row 0
+    assert matrix_rank([r[:] for r in wide], 4, K) == 1
+    wide[1][0] = 1
+    assert matrix_rank([r[:] for r in wide], 4, K) == 2
 
 
 # -- property tests: every rewritten loop against an independent count ---------
 
 FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 5: F5}
+
+
+def leibniz_det(M, n, K):
+    """Determinant of the flat n x n matrix M as a sum over permutations."""
+    det = 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = K.mul(term, M[i * n + j])
+        odd = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2
+        det = K.sub(det, term) if odd else K.add(det, term)
+    return det
+
+
+@seed(20241009)
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.integers(1, 6), st.integers(1, 4), st.data())
+def test_elimination_matches_brute_force_property(q, m, c, data):
+    """matrix_rank, nullspace_basis and the n = 4 determinant against enumeration."""
+    K = kernel(FIELDS[q])
+    entries = st.lists(st.integers(0, q - 1), min_size=c, max_size=c)
+    rows = data.draw(st.lists(entries, min_size=m, max_size=m))
+    if m > 1 and data.draw(st.booleans()):  # a dependent row: a multiple of another
+        i, j, f = data.draw(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1),
+                                      st.integers(0, q - 1)))
+        rows[i] = [K.mul(f, x) for x in rows[j]]
+
+    def in_kernel(v):
+        return not any(functools.reduce(K.add, map(K.mul, row, v)) for row in rows)
+
+    kern = [v for v in itertools.product(range(q), repeat=c) if in_kernel(v)]
+    assert q ** (c - matrix_rank([r[:] for r in rows], c, K)) == len(kern)
+
+    # column j is free iff some kernel vector is 1 at j and 0 after it
+    free = [j for j in range(c) if any(v[j] == 1 and not any(v[j + 1:]) for v in kern)]
+    basis = counting.nullspace_basis([r[:] for r in rows], c, K)
+    assert len(basis) == len(free)
+    for j, v in zip(free, basis):
+        assert in_kernel(v)
+        assert [v[k] for k in free] == [int(k == j) for k in free]
+    span = counting.span_vectors(basis, K, c)
+    assert len(set(span)) == len(span) == len(kern)
+
+    M = data.draw(st.lists(st.integers(0, q - 1), min_size=16, max_size=16))
+    if data.draw(st.booleans()):  # a repeated row: singular
+        M[4:8] = M[:4]
+    rank, det = counting._rank_det(M, 4, K)
+    assert det == leibniz_det(M, 4, K)
+    assert rank == matrix_rank([M[i:i + 4] for i in range(0, 16, 4)], 4, K)
 
 
 # (q, n, d, R) over q in {2, 3, 4, 5}, n <= 2, d in {2, 3, 4}, R <= 3
