@@ -31,7 +31,6 @@ from .counting import (
     CountProfile,
     box_solutions,
     count_box,
-    count_fiber,
     count_NR,
     count_SF,
     count_SF_naive,
@@ -39,6 +38,7 @@ from .counting import (
     fiber_counts,
     sf_profile,
 )
+from .oracles import count_fiber
 from .ranks import (
     CodimEstimate,
     ExactLogRank,

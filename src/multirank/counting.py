@@ -42,7 +42,7 @@ the prefix mod t^b, which only t -> a t preserves; its system is linear
 in the last prefix block, so only that block's zero and projective
 values are walked. count_singular evaluates the origin and the
 projective points. The literal enumerations stay as oracles
-(count_fiber, and in the tests).
+(multirank.oracles.count_fiber, and in the tests).
 Budget gates keep their full-space exponents and raise BudgetError
 naming the offending one; nothing is silently truncated.
 """
@@ -315,12 +315,14 @@ def _orbits(K, n: int, k: int, q: int) -> tuple:
 
     x -> x^q fixes 0 and 1, so it maps points with first nonzero 1 to such
     points. An orbit is named by its first tuple in product order of
-    projective_points; with q = Q each tuple is an orbit.
+    projective_points; with q = Q each tuple is an orbit. Frobenius images
+    are taken only of the coordinate values the points hold: for n = 1
+    the one point (1,) needs one power, not Q.
     """
     if not k:
         return (((), 1),)
     pts = projective_points(K.q, n)
-    frob = [K.pow(x, q) for x in range(K.q)]
+    frob = {x: K.pow(x, q) for x in set().union(*pts)}
     index = {u: i for i, u in enumerate(pts)}
     return _orbit_reps(pts, k, [[[index[tuple(map(frob.__getitem__, u))] for u in pts]] * k])
 
@@ -668,41 +670,6 @@ def zero_fiber_target(F: MultilinearForm, b: int) -> tuple:
     return tuple(tuple((0,) * b for _ in range(F.n)) for _ in range(F.d - 1))
 
 
-def count_fiber(F: MultilinearForm, a: int, b: int, y: Sequence,
-                budget_bits: float = DEFAULT_BUDGET_BITS) -> int:
-    """N^y: solutions of G(x) = 0 in (F_q[t]/t^a)^n restricted to x = y mod t^b.
-
-    G(x)_i = F(x, e_i) computed mod t^a; y is a (d-1)-tuple of vectors of
-    length-b coefficient tuples.
-    """
-    if not (0 <= b <= a):
-        raise ValueError("need 0 <= b <= a")
-    K = kernel(F.field)
-    q, n, d = K.q, F.n, F.d
-    bits = n * (d - 1) * a * math.log2(q)
-    if bits > budget_bits:
-        raise BudgetError("fiber space q^(n(d-1)a)", bits, budget_bits)
-    y = tuple(tuple(tuple(c) for c in vec) for vec in y)
-    if len(y) != d - 1 or any(len(vec) != n for vec in y):
-        raise ValueError("fiber target has wrong shape")
-    if any(len(c) != b for vec in y for c in vec):
-        raise ValueError(f"fiber target coefficients must have length b = {b}")
-
-    free = a - b
-    total = 0
-    coeffs0: list[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
-    for digits in product(range(q), repeat=(d - 1) * n * free):
-        cur: Sequence[Sequence[int]] = coeffs0
-        slots = d
-        for yk, zk in zip(y, _blocks(digits, d - 1, n, free)):
-            vec = tuple(yj + zj for yj, zj in zip(yk, zk))
-            cur = _contract_poly_first(cur, slots, n, vec, K, a)
-            slots -= 1
-        if not any(any(p) for p in cur):
-            total += 1
-    return total
-
-
 def fiber_counts(F: MultilinearForm, a: int, b: int,
                  budget_bits: float = DEFAULT_BUDGET_BITS) -> dict[tuple, int]:
     """Histogram {y: N^y} over all reduction targets at once.
@@ -713,7 +680,7 @@ def fiber_counts(F: MultilinearForm, a: int, b: int,
     spans the kernel's image; each of its q^rank points is hit by
     q^(dim kernel - rank) solutions. The work is proportional to the number
     of distinct keys rather than the whole space. Values agree with
-    count_fiber entry by entry; the order of the keys is unspecified.
+    oracles.count_fiber entry by entry; the order of the keys is unspecified.
     """
     if not (0 <= b <= a):
         raise ValueError("need 0 <= b <= a")

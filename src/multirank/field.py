@@ -11,9 +11,11 @@ Internally every element also has an index, the integer sum(digit[i]*p^i);
 enumeration order is ascending index (zero first). Hot loops in the
 counting kernels work on indices through the cached arithmetic kernel;
 that is an internal representation choice, the public contract stays digit
-vectors. For odd p and e > 1, addition up to q = 2^10 is one q x q table
-on indices, built a base-p digit at a time (digit-wise addition has no
-carries), whose q^2 entries share the q index ints.
+vectors. Up to q = 2^16 each kernel keeps exp/log tables for a generator
+g of F_q^*, and for odd p and e > 1 it adds by Zech logarithms: with
+zech[k] = log(1 + g^k), a + b = g^(log a + zech[log b - log a]). So a
+kernel's set-up builds a few tables of O(q) entries and no q x q table.
+Above 2^16, odd-characteristic arithmetic works digit by digit.
 
 Embeddings between F_{p^e} and F_{p^{e*l}} are found by exhaustive root
 search of the source modulus in the target, taking the least root, and are
@@ -36,7 +38,6 @@ MAX_FIELD_SIZE = 1 << 20
 # thresholds for precomputed tables; above them ops fall back to direct
 # polynomial arithmetic (correct, slower)
 _MUL_TABLE_LIMIT = 1 << 16
-_ADD_TABLE_LIMIT = 1 << 10
 _DIGIT_CACHE_LIMIT = 1 << 16
 
 
@@ -304,10 +305,17 @@ class FieldElement:
 class _Kernel:
     """Index-level arithmetic for one FieldSpec.
 
-    Indices encode digit vectors as integers in base p. Multiplication uses
-    discrete-log tables when q is small enough, addition uses a full table
-    built by digit blocks (_digit_add_table), XOR (p = 2), or digit
-    arithmetic. All closures are pure functions.
+    Indices encode digit vectors as integers in base p. Up to q = 2^16,
+    multiplication, inversion and powers use discrete-log tables for a
+    generator g of F_q^* (exp has 2(q-1) entries, so a sum of two logs
+    needs no reduction), and so does addition when p is odd and e > 1:
+    by Zech logarithms, a + b = a * (1 + b/a) = exp[log a + zech[log b -
+    log a]], where zech[k] = log(1 + g^k), or -1 when 1 + g^k = 0. The
+    difference of logs may be negative, and Python's negative indexing
+    wraps it mod q - 1, as g^(q-1) = 1. Every table has O(q) entries.
+    For p = 2 addition is XOR, in prime fields it is integer arithmetic
+    mod p, and above 2^16 it works digit by digit. All closures are pure
+    functions.
     """
 
     __slots__ = ("spec", "p", "e", "q", "add", "sub", "mul", "neg", "inv", "pow",
@@ -318,18 +326,19 @@ class _Kernel:
         p, e, q = spec.p, spec.e, spec.q
         self.p, self.e, self.q = p, e, q
 
+        if q <= _DIGIT_CACHE_LIMIT:
+            # product order is ascending index once each tuple is reversed
+            digit_table = [ds[::-1] for ds in itertools.product(range(p), repeat=e)]
+            self.digits_of = digit_table.__getitem__
+        else:
+            self.digits_of = self._digits_direct
+
         if e == 1:
             self._build_prime(p)
         elif p == 2:
             self._build_binary(spec)
         else:
             self._build_odd_ext(spec)
-
-        if q <= _DIGIT_CACHE_LIMIT:
-            digit_table = [self._digits_direct(i) for i in range(q)]
-            self.digits_of = digit_table.__getitem__
-        else:
-            self.digits_of = self._digits_direct
 
     def _digits_direct(self, idx: int) -> tuple[int, ...]:
         p, e = self.p, self.e
@@ -352,7 +361,7 @@ class _Kernel:
         self.mul = lambda a, b: (a * b) % p
         self.neg = lambda a: (-a) % p
         self.inv = lambda a: pow(a, p - 2, p) if a else self._zero_div()
-        self.pow = lambda a, k: pow(a, k, p)
+        self.pow = lambda a, k: pow(a, k, p) if a or k >= 0 else self._zero_div()
         self.index_of = self._index_direct
 
     @staticmethod
@@ -389,30 +398,38 @@ class _Kernel:
     def _build_odd_ext(self, spec: FieldSpec) -> None:
         p, e, q = spec.p, spec.e, spec.q
         mod = spec.modulus
-        digits_direct = self._digits_direct
+        digits_of = self.digits_of
         index_direct = self._index_direct
 
         def mul_raw(a: int, b: int) -> int:
             if a == 0 or b == 0:
                 return 0
-            prod = _poly_mulmod(digits_direct(a), digits_direct(b), mod, p)
-            return index_direct(prod)
+            return index_direct(_poly_mulmod(digits_of(a), digits_of(b), mod, p))
 
-        if q <= _ADD_TABLE_LIMIT:
-            tbl = _digit_add_table(p, e)
-            self.add = lambda a, b: tbl[a][b]
+        self._finish_mul(mul_raw, q)
+        if q <= _MUL_TABLE_LIMIT:
+            exp_t, log_t = self._exp, self._log
+            # index of x + 1: add 1 to the lowest digit, with no carry
+            zech = tuple(log_t[y] if y else -1
+                         for y in (x - x % p + (x + 1) % p for x in exp_t[:q - 1]))
+
+            def add(a: int, b: int) -> int:
+                if not a:
+                    return b
+                if not b:
+                    return a
+                la = log_t[a]
+                z = zech[log_t[b] - la]
+                return exp_t[la + z] if z >= 0 else 0
         else:
-            def add_digits(a: int, b: int) -> int:
-                da, db = digits_direct(a), digits_direct(b)
-                return index_direct([(x + y) % p for x, y in zip(da, db)])
-            self.add = add_digits
+            def add(a: int, b: int) -> int:
+                return index_direct([(x + y) % p for x, y in zip(digits_of(a), digits_of(b))])
 
-        neg_tbl = tuple(index_direct([(-x) % p for x in digits_direct(a)]) for a in range(q))
+        neg_tbl = tuple(index_direct([(-x) % p for x in digits_of(a)]) for a in range(q))
+        self.add = add
         self.neg = neg_tbl.__getitem__
-        add = self.add
         self.sub = lambda a, b: add(a, neg_tbl[b])
         self.index_of = index_direct
-        self._finish_mul(mul_raw, q)
 
     # -- multiplication via exp/log tables, or raw fallback -----------------
     def _finish_mul(self, mul_raw, q: int) -> None:
@@ -481,30 +498,12 @@ class _Kernel:
 
         def pw(a: int, k: int) -> int:
             if a == 0:
+                if k < 0:
+                    raise ZeroDivisionError("inversion of zero")
                 return 0 if k else 1
             return exp_t[(log_t[a] * k) % order]
 
         self.mul, self.inv, self.pow = mul, inv, pw
-
-
-def _digit_add_table(p: int, e: int) -> tuple[tuple[int, ...], ...]:
-    """Addition of F_{p^e} on indices, built one base-p digit at a time.
-
-    Digit-wise addition has no carries, so with a = lo + s*hi (lo < s) row
-    a of the table for p*s indices is the concatenation, over hi' < p, of
-    row lo of the table for s indices shifted by s*((hi + hi') mod p).
-    Every entry is taken from one list of the q index ints, so the q*q
-    table holds q int objects.
-    """
-    ints = list(range(p ** e))
-    rows = [tuple(ints[(a + b) % p] for b in range(p)) for a in range(p)]
-    s = p
-    for _ in range(e - 1):
-        shifted = [[tuple([ints[x + s * k] for x in row]) for row in rows] for k in range(p)]
-        rows = [tuple(itertools.chain.from_iterable(shifted[(hi + k) % p][lo] for k in range(p)))
-                for hi in range(p) for lo in range(s)]
-        s *= p
-    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -530,23 +529,23 @@ class FieldEmbedding:
         return self.target.e // self.source.e
 
     @functools.cached_property
-    def _gen_powers(self) -> tuple[int, ...]:
+    def _index_map(self):
+        """(source digits_of, target add, target mul, images of 1, g, ..., g^(e-1))."""
         K = kernel(self.target)
         g = self.image_of_generator.index
         powers = [1]
         for _ in range(self.source.e - 1):
             powers.append(K.mul(powers[-1], g))
-        return tuple(powers)
+        return kernel(self.source).digits_of, K.add, K.mul, tuple(powers)
 
     def apply_index(self, idx: int) -> int:
         """Image in the target, on element indices."""
-        K = kernel(self.target)
-        src_digits = kernel(self.source).digits_of(idx)
+        digits_of, add, mul, powers = self._index_map
         acc = 0
-        for d, gp in zip(src_digits, self._gen_powers):
+        for d, gp in zip(digits_of(idx), powers):
             if d:
                 # d is a prime-field scalar, whose index is d
-                acc = K.add(acc, K.mul(d, gp))
+                acc = add(acc, mul(d, gp))
         return acc
 
     def apply(self, a: FieldElement) -> FieldElement:

@@ -19,7 +19,6 @@ from multirank.counting import (
     CountProfile,
     box_solutions,
     count_box,
-    count_fiber,
     count_NR,
     count_SF,
     count_SF_naive,
@@ -32,6 +31,7 @@ from multirank.counting import (
     sf_profile,
     zero_fiber_target,
 )
+from multirank.oracles import count_fiber
 from multirank.tensor import (
     HomogeneousForm,
     IntMultilinearForm,
@@ -646,6 +646,44 @@ def assert_frobenius_orbits(K, n, k, e):
         assert min(orbit, key=lambda t: [pos[u] for u in t]) == rep
         covered += orbit
     assert sorted(covered) == sorted(itertools.product(pts, repeat=k))
+
+
+@pytest.mark.parametrize("p,e,n,k", [(1021, 1, 1, 1), (1021, 1, 1, 2), (3, 6, 1, 1),
+                                     (3, 6, 1, 2), (2, 2, 3, 1), (2, 2, 3, 2)])
+def test_orbits_at_q_equal_Q_are_single_tuples(p, e, n, k):
+    K = kernel(make_field(p, e))
+    tuples = list(itertools.product(projective_points(K.q, n), repeat=k))
+    assert counting._orbits(K, n, k, K.q) == tuple((t, 1) for t in tuples)
+
+
+def full_table_orbits(K, n, k, q):
+    """_orbits as first built: Frobenius images from a table over all of F_Q."""
+    pts = projective_points(K.q, n)
+    frob = [K.pow(x, q) for x in range(K.q)]
+    index = {u: i for i, u in enumerate(pts)}
+    return counting._orbit_reps(pts, k, [[[index[tuple(frob[x] for x in u)] for u in pts]] * k])
+
+
+# (p, e, n, k, q) with k >= 1 that one field-counts batch (seed 1) asks _orbits for
+BATCH_ORBIT_KEYS = (
+    [(2, e, n, 1, q) for e, n, q in [(1, 1, 2), (1, 2, 2), (1, 3, 2), (2, 1, 4), (2, 2, 2),
+                                     (2, 2, 4), (2, 3, 2), (3, 2, 2), (3, 2, 8), (3, 3, 2),
+                                     (4, 1, 4), (4, 2, 2), (4, 2, 4), (4, 3, 2), (5, 2, 2),
+                                     (5, 3, 2), (6, 1, 4), (6, 2, 2), (6, 2, 4), (7, 2, 2),
+                                     (8, 2, 2), (8, 2, 4)]]
+    + [(3, e, n, 1, q) for e, n, q in [(1, 1, 3), (1, 3, 3), (2, 1, 3), (2, 1, 9), (2, 3, 3),
+                                       (3, 1, 3), (3, 3, 3), (4, 1, 3), (4, 1, 9), (5, 1, 3),
+                                       (6, 1, 3)]]
+    + [(5, 1, 3, 1, 5), (5, 2, 3, 1, 5)]
+    + [(P, 1, 1, 1, P) for P in (857, 859, 863, 877, 881, 883, 887, 907, 911, 919, 929, 937,
+                                 941, 947, 953, 967, 971, 977, 983, 991, 997, 1009, 1013,
+                                 1019, 1021)])
+
+
+def test_orbits_match_the_full_table_construction_on_a_batch():
+    for p, e, n, k, q in BATCH_ORBIT_KEYS:
+        K = kernel(make_field(p, e))
+        assert counting._orbits(K, n, k, q) == full_table_orbits(K, n, k, q), (p, e, n, k, q)
 
 
 BASE_FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 9: make_field(3, 2)}

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multirank import field
 from multirank.errors import BudgetError
 from multirank.field import (
     FieldElement,
@@ -170,36 +169,65 @@ def test_frobenius_is_additive(p, e):
         assert (a + b).frobenius() == a.frobenius() + b.frobenius()
 
 
-# every F_{p^e} with p odd and e > 1 small enough for a full add table
+# every F_{p^e} with p odd, e > 1 and q <= 2^10, plus F_{5^5} and F_{3^7}
 ODD_EXTENSIONS = [(p, e) for p in range(3, 32) if is_prime(p) for e in range(2, 7)
-                  if p ** e <= field._ADD_TABLE_LIMIT]
+                  if p ** e <= 1 << 10] + [(5, 5), (3, 7)]
 
 
 @pytest.mark.parametrize("p,e", ODD_EXTENSIONS)
 def test_digit_block_add_table(p, e):
+    """Zech-log add, sub and neg against digit-wise arithmetic mod p.
+
+    Every pair up to q = 243 (F_9, F_25, F_27, F_49, F_81, F_121, F_125,
+    F_243); a seeded sample of pairs above, with the pairs that sum to 0
+    (the Zech sentinel) and those with a or b = 0 or 1 included.
+    """
     q = p ** e
     K = kernel(make_field(p, e))
-    table = field._digit_add_table(p, e)
-    assert len(table) == q and all(len(row) == q for row in table)
+    index = K._index_direct
 
     def digits(i):
         return [i // p ** k % p for k in range(e)]
 
-    def index(ds):
-        return sum(d * p ** k for k, d in enumerate(ds))
+    def oracle(a, b, sign):
+        return index([(x + sign * y) % p for x, y in zip(digits(a), digits(b))])
 
     if q <= 243:
-        rows = range(q)
+        pairs = itertools.product(range(q), repeat=2)
     else:
         rng = SplitMix64(0xADD + q)
-        rows = [0, q - 1] + [rng.below(q) for _ in range(12)]
-    for a in rows:
-        da = digits(a)
-        assert table[a] == tuple(index([(x + y) % p for x, y in zip(da, digits(b))])
-                                 for b in range(q))
-        assert [K.add(a, b) for b in range(q)] == list(table[a])
-    # entries share the q index ints instead of holding q^2 of them
-    assert len({id(x) for row in table for x in row}) <= q
+        sample = [rng.below(q) for _ in range(300)]
+        pairs = ([(a, b) for a in (0, 1, q - 1) for b in (0, 1, q - 1)]
+                 + [(a, rng.below(q)) for a in sample]
+                 + [(a, oracle(0, a, -1)) for a in sample])
+    for a, b in pairs:
+        assert K.add(a, b) == oracle(a, b, 1)
+        assert K.sub(a, b) == oracle(a, b, -1)
+        assert K.neg(b) == oracle(0, b, -1)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (1021, 1), (2, 8), (3, 6)])
+def test_digit_table_matches_direct_digits(p, e):
+    K = kernel(make_field(p, e))
+    assert all(K.digits_of(i) == K._digits_direct(i) for i in range(p ** e))
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (2, 3), (3, 2), (3, 11)])
+def test_zero_to_a_negative_power_raises(p, e):
+    zero = make_field(p, e).zero()
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
+    with pytest.raises(ZeroDivisionError):
+        zero ** -3
+    assert zero ** 0 == make_field(p, e).one()
+    assert zero ** 2 == zero
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2), (5, 2)])
+def test_negative_power_is_the_inverse(p, e):
+    for a in make_field(p, e).elements()[1:]:
+        assert a ** -1 == a.inverse()
+        assert a ** -2 == (a * a).inverse()
 
 
 @given(st.integers(min_value=0, max_value=24), st.integers(min_value=0, max_value=24))

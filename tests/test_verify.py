@@ -7,7 +7,8 @@ import json
 import pytest
 
 from multirank.field import make_field
-from multirank.counting import count_fiber, zero_fiber_target
+from multirank.counting import zero_fiber_target
+from multirank.oracles import count_fiber
 from multirank.tensor import (
     MultilinearForm,
     diagonal,
