@@ -38,9 +38,11 @@ and solve the last block's linear system. A polynomial of degree < R is
 a binary form of degree R-1, so GL_2(F_q), acting on every block at once,
 and scaling one block map the solutions to solutions: count_NR ranks one
 prefix per orbit, weighted by its size. fiber_counts keys its counts by
-the prefix mod t^b, which only t -> a t preserves; its system is linear
-in the last prefix block, so only that block's zero and projective
-values are walked. count_singular evaluates the origin and the
+the prefix mod t^b, which of those substitutions only t -> c t keeps;
+but F(u x, y, e_i) = u F(x, y, e_i) for every unit u of F_q[t]/t^a, so
+u x has the same last-block kernel as x. One system is solved per unit
+orbit of the last prefix block, and the orbit's keys are its unit
+multiples mod t^b. count_singular evaluates the origin and the
 projective points. The literal enumerations stay as oracles
 (multirank.oracles.count_fiber, and in the tests).
 Budget gates keep their full-space exponents and raise BudgetError
@@ -559,38 +561,55 @@ def _last_block_system(M: Sequence[Sequence[int]], n: int, R: int, nrows_deg: in
     return rows
 
 
-def _prefix_systems(F: MultilinearForm, K, deg: int, nrows_deg: int, trunc: int | None):
-    """Yield (head, x, rows): every last-block system of fiber_counts, up to scaling.
+def _prefix_systems(F: MultilinearForm, K, a: int):
+    """Yield (head, x, size, rows): one last-block system of fiber_counts per orbit.
 
-    head runs over the first d-3 prefix blocks, x over the zero last prefix
-    block and the projective ones (flat digits, first nonzero 1). rows is
-    linear in x, built as the sum over k of the systems of the blocks with
-    x_k at digit k, so c * x has the system c * rows: same rank and kernel.
-    With d = 2 there is no prefix, and ((), (), rows) is the one yield.
+    head runs over the first d-3 prefix blocks, x over one representative
+    per orbit of the units of F_q[t]/t^a on the last prefix block
+    (_unit_orbits), size is the orbit's size and rows the system of the
+    last block, mod t^a. F has constant coefficients, so u * x has the
+    system u * rows for a unit u: the same kernel. With d = 2 there is no
+    prefix, and ((), (), 1, rows) is the one yield.
     """
-    q, n, d, N = K.q, F.n, F.d, F.n * deg
+    n, d = F.n, F.d
     coeffs0: list[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
     if d == 2:
-        yield (), (), _last_block_system(coeffs0, n, deg, nrows_deg, trunc)
+        yield (), (), 1, _last_block_system(coeffs0, n, a, a, a)
         return
-
-    def walk(k: int, x: tuple[int, ...], acc: list[int]):
-        if k == N:
-            yield head, x, [acc[i * N:(i + 1) * N] for i in range(n * nrows_deg)]
-            return
-        for c in range(q if any(x) else 2):  # 0 or 1 until the first nonzero digit
-            yield from walk(k + 1, x + (c,), list(map(K.add, acc, scaled[k][c])) if c else acc)
-
-    for digits in product(range(q), repeat=N * (d - 3)):
-        head = _blocks(digits, d - 3, n, deg)
+    orbits = _unit_orbits(K, n, a)
+    for digits in product(range(K.q), repeat=n * a * (d - 3)):
+        head = _blocks(digits, d - 3, n, a)
         cur = coeffs0
         for slots, v in enumerate(head):
-            cur = _contract_poly_first(cur, d - slots, n, v, K, trunc)
-        # scaled[k][c]: the flat system of the block with c at digit k
-        scaled = [[[v for row in _last_block_system(_contract_poly_first(
-            cur, 3, n, _blocks(tuple(c * (i == k) for i in range(N)), 1, n, deg)[0], K, trunc),
-            n, deg, nrows_deg, trunc) for v in row] for c in range(q)] for k in range(N)]
-        yield from walk(0, (), [0] * (n * nrows_deg * N))
+            cur = _contract_poly_first(cur, d - slots, n, v, K, a)
+        for x, size in orbits:
+            yield head, x, size, _last_block_system(_contract_poly_first(cur, 3, n, x, K, a),
+                                                    n, a, a, a)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_orbits(K, n: int, a: int) -> tuple:
+    """(x, size) per orbit of the units of F_q[t]/t^a on its n-vectors.
+
+    x is n coefficient tuples of length a (t^0 first). The units are
+    generated by g, a generator of F_q^*, and 1 + c t^k for k = 1..a-1
+    and c in an F_p-basis of F_q. If v is the least valuation in x, the
+    stabiliser is the units = 1 mod t^(a-v), so the orbit has
+    (q-1) q^(a-1-v) elements; the zero vector is its own orbit. Orbits
+    are named by their first tuple in product order.
+    """
+    q, p = K.q, K.p
+    polys = list(product(range(q), repeat=a))
+    index = {c: i for i, c in enumerate(polys)}
+    g = _unit_generator(K)
+    units = [(g,)] + [(1,) + (0,) * (k - 1) + (p ** i,) for k in range(1, a) for i in range(K.e)]
+    return _orbit_reps(polys, n, [[[index[_poly_mul_trunc(u, c, K, a)] for c in polys]] * n
+                                  for u in units])
+
+
+def _unit_generator(K) -> int:
+    """The least generator of F_q^*."""
+    return next(c for c in range(1, K.q) if len({K.pow(c, i) for i in range(K.q - 1)}) == K.q - 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -608,7 +627,7 @@ def _prefix_orbits(K, n: int, R: int, blocks: int) -> tuple:
     q, mul = K.q, K.mul
     polys = list(product(range(q), repeat=R))
     index = {c: i for i, c in enumerate(polys)}
-    g = next(c for c in range(1, q) if len({K.pow(c, i) for i in range(q - 1)}) == q - 1)
+    g = _unit_generator(K)
 
     def perm(f) -> list[int]:
         return [index[tuple(f(c))] for c in polys]
@@ -674,12 +693,15 @@ def fiber_counts(F: MultilinearForm, a: int, b: int,
                  budget_bits: float = DEFAULT_BUDGET_BITS) -> dict[tuple, int]:
     """Histogram {y: N^y} over all reduction targets at once.
 
-    Enumerates the first d-3 blocks fully and the last prefix block up to
-    scaling (_prefix_systems): c * x has the same last-block kernel, and
-    its prefix key is c times that of x. The kernel basis, reduced mod t^b,
+    Enumerates the first d-3 blocks fully and the last prefix block one
+    orbit of units u of F_q[t]/t^a at a time (_prefix_systems): u * x has
+    the same last-block kernel as x. The kernel basis, reduced mod t^b,
     spans the kernel's image; each of its q^rank points is hit by
-    q^(dim kernel - rank) solutions. The work is proportional to the number
-    of distinct keys rather than the whole space. Values agree with
+    q^(dim kernel - rank) solutions. If x has least valuation v >= b, the
+    whole orbit is 0 mod t^b: one prefix key, weighted by the orbit's
+    size. Otherwise its keys are u * x mod t^b, which depends on u mod
+    t^(b-v) only; those (q-1) q^(b-1-v) units give each key once, and
+    each key is hit by q^(a-b) points of the orbit. Values agree with
     oracles.count_fiber entry by entry; the order of the keys is unspecified.
     """
     if not (0 <= b <= a):
@@ -696,19 +718,26 @@ def fiber_counts(F: MultilinearForm, a: int, b: int,
     # the other free columns reduce to 0 and the rest to a basis of the image
     order = sorted(range(n * a), key=lambda i: i % a < b)
     cut = n * (a - b)
-    for head, x, rows in _prefix_systems(F, K, a, a, a):
+    for head, x, size, rows in _prefix_systems(F, K, a):
         basis = nullspace_basis([[r[i] for i in order] for r in rows], n * a, K)
         image = [v[cut:] for v in basis if any(v[cut:])]
         mult = q ** (len(basis) - len(image))
         tails = [tuple(z[j * b:(j + 1) * b] for j in range(n))
                  for z in span_vectors(image, K, n * b)]
-        head_key = tuple(tuple(p[:b] for p in v) for v in head)
-        for c in range(1, q) if any(x) else (1,):
-            key = head_key
-            if d > 2:
-                key += (tuple(tuple(K.mul(c, v) for v in x[j * a:j * a + b]) for j in range(n)),)
+        key = tuple(tuple(p[:b] for p in v) for v in head)
+        val = min([s for p in x for s, c in enumerate(p) if c] + [a])
+        if d == 2:
+            keys = [key]
+        elif val >= b:
+            keys = [key + (((0,) * b,) * n,)]
+            mult *= size
+        else:
+            keys = [key + (tuple(_poly_mul_trunc(u, p[:b], K, b) for p in x),)
+                    for u in product(range(1, q), *[range(q)] * (b - 1 - val))]
+            mult *= q ** (a - b)
+        for k in keys:
             for z in tails:
-                hist[key + (z,)] = hist.get(key + (z,), 0) + mult
+                hist[k + (z,)] = hist.get(k + (z,), 0) + mult
     return hist
 
 

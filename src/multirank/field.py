@@ -101,34 +101,46 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int)
     return tuple(out)
 
 
-def _poly_divides(g: Sequence[int], m: Sequence[int], p: int) -> bool:
-    """Whether monic g divides m over F_p (remainder of trial division is zero)."""
-    r = list(m)
-    dg = len(g) - 1
-    while len(_poly_trim(r)) - 1 >= dg:
-        r = list(_poly_trim(r))
-        lead = r[-1]
-        shift = len(r) - 1 - dg
-        for j in range(dg + 1):
-            r[shift + j] = (r[shift + j] - lead * g[j]) % p
-    return not _poly_trim(r)
+def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+    """A gcd of a and b over F_p by Euclid's algorithm, trimmed, not made monic."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b:
+        r, inv = list(a), pow(b[-1], -1, p)
+        while len(r) >= len(b):
+            f, shift = r[-1] * inv % p, len(r) - len(b)
+            for j, c in enumerate(b):
+                r[shift + j] = (r[shift + j] - f * c) % p
+            r = list(_poly_trim(r))
+        a, b = b, tuple(r)
+    return a
 
 
 def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Trial division by every lower-degree monic polynomial (degrees 1..e//2)."""
+    """Rabin's test for the monic modulus f of degree e over F_p.
+
+    f is irreducible iff x^(p^e) = x mod f and gcd(x^(p^(e/r)) - x, f) = 1
+    for each prime r | e. The powers x^(p^k) mod f are taken by raising
+    to the p-th power e times.
+    """
     e = len(modulus) - 1
     if e == 1:
         return True
-    for deg in range(1, e // 2 + 1):
-        for body in range(p ** deg):
-            g = []
-            x = body
-            for _ in range(deg):
-                x, r = divmod(x, p)
-                g.append(r)
-            g.append(1)
-            if _poly_divides(g, modulus, p):
-                return False
+    x = (0, 1) + (0,) * (e - 2)
+    frob = [x]
+    for _ in range(e):
+        h, acc, k = frob[-1], (1,) + (0,) * (e - 1), p
+        while k:  # acc = frob[-1]^p mod f by square and multiply
+            if k & 1:
+                acc = _poly_mulmod(acc, h, modulus, p)
+            h, k = _poly_mulmod(h, h, modulus, p), k >> 1
+        frob.append(acc)
+    if frob[e] != x:
+        return False
+    for r in _prime_factors(e):
+        h = list(frob[e // r])
+        h[1] = (h[1] - 1) % p
+        if len(_poly_gcd(h, modulus, p)) != 1:
+            return False
     return True
 
 
@@ -136,11 +148,12 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree e over F_p.
 
     Candidates are compared as constant-first coefficient lists, so
-    itertools.product yields them in exactly the right order.
+    itertools.product yields them in exactly the right order. Those with
+    constant term 0 are divisible by x and skipped.
     """
     if e == 1:
         return (0, 1)
-    for body in itertools.product(range(p), repeat=e):
+    for body in itertools.product(range(1, p), *[range(p)] * (e - 1)):
         cand = body + (1,)
         if _is_irreducible(cand, p):
             return cand

@@ -536,13 +536,15 @@ def test_count_singular_matches_direct_evaluation_property(q, n, d, l, s):
 
 
 @seed(20241004)
-@settings(max_examples=40, deadline=None)
-@given(small_forms(max_log_space=8), st.data())
+@settings(max_examples=60, deadline=None)
+@given(small_forms(), st.data())
 def test_fiber_counts_match_count_fiber_property(case, data):
     F, a = case
-    # half the draws with a >= 2 keep 0 < b < a, where the kept coefficients
-    # mod t^b and the free ones differ
-    b = data.draw(st.integers(1, a - 1) | st.integers(0, a) if a > 1 else st.integers(0, a))
+    # b = 0 (one key part empty) and b = a (nothing free) are drawn outright;
+    # otherwise a >= 2 keeps 0 < b < a, where the keys u x mod t^b and the
+    # weights q^(a-b) both matter
+    b = data.draw(st.sampled_from((0, a)) | (st.integers(1, a - 1) if a > 1
+                                             else st.integers(0, a)))
     q, n, d = F.field.q, F.n, F.d
     hist = fiber_counts(F, a, b)
     targets = itertools.product(itertools.product(itertools.product(range(q), repeat=b),
@@ -550,6 +552,46 @@ def test_fiber_counts_match_count_fiber_property(case, data):
     for y in targets:
         assert count_fiber(F, a, b, y) == hist.get(y, 0)
     assert sum(hist.values()) == count_fiber(F, a, 0, zero_fiber_target(F, 0))
+
+
+def unit_products(K, a):
+    """products[i][j]: the index of u_i * c_j mod t^a, by convolution, where
+    u_i runs over the units of F_q[t]/t^a and c_j over all polynomials, both
+    in product order."""
+    polys = list(itertools.product(range(K.q), repeat=a))
+    index = {c: j for j, c in enumerate(polys)}
+    return [[index[tuple(functools.reduce(K.add, [K.mul(u[s], c[k - s]) for s in range(k + 1)], 0)
+                         for k in range(a))] for c in polys]
+            for u in polys if not a or u[0]]
+
+
+# orbit counts, zero vector included: one last-block system per orbit instead
+# of one per projective block (365 over F_3 at n = 2, a = 3; 256 over F_2 at n = 2, a = 4)
+ORBIT_COUNTS = {(3, 2, 3): 53, (2, 2, 4): 46}
+
+
+@pytest.mark.parametrize("q, n, a", [(q, n, a) for q in (2, 3, 4) for n in (1, 2, 3)
+                                     for a in (0, 1, 2, 3)] + [(2, 2, 4)])
+def test_unit_orbits_partition_the_vectors(q, n, a):
+    """The orbits of the listed vectors, found by multiplying them by every
+    unit, are disjoint and cover (F_q[t]/t^a)^n; each has (q-1) q^(a-1-v)
+    elements, v the least valuation, and the zero vector is alone."""
+    K = kernel(FIELDS[q])
+    products = unit_products(K, a)
+    index = {c: j for j, c in enumerate(itertools.product(range(q), repeat=a))}
+    place = [q ** (a * (n - 1 - j)) for j in range(n)]
+    seen = bytearray(q ** (n * a))
+    orbits = counting._unit_orbits(K, n, a)
+    for x, size in orbits:
+        digits = [index[c] for c in x]
+        orbit = {sum(row[i] * w for i, w in zip(digits, place)) for row in products}
+        for i in orbit:
+            assert not seen[i], (x, "meets an earlier orbit")
+            seen[i] = 1
+        v = min([s for c in x for s, c_s in enumerate(c) if c_s] + [a])
+        assert size == len(orbit) == ((q - 1) * q ** (a - 1 - v) if v < a else 1), x
+    assert all(seen)
+    assert len(orbits) == ORBIT_COUNTS.get((q, n, a), len(orbits))
 
 
 def rank_one_form(field, d, n, s):

@@ -12,6 +12,7 @@ from multirank.errors import BudgetError
 from multirank.field import (
     FieldElement,
     FieldSpec,
+    _is_irreducible,
     embed,
     is_prime,
     kernel,
@@ -74,6 +75,47 @@ def test_make_field_lex_least_among_irreducibles():
             if poly_is_irreducible_bruteforce(body + (1,), p)
         ]
         assert make_field(p, e).modulus == min(cands)
+
+
+def trial_division_irreducible(coeffs, p):
+    """Oracle: no monic polynomial of degree 1..e//2 leaves remainder 0."""
+    e = len(coeffs) - 1
+    for deg in range(1, e // 2 + 1):
+        for body in itertools.product(range(p), repeat=deg):
+            g = body + (1,)
+            r = list(coeffs)
+            for shift in range(e - deg, -1, -1):  # long division by monic g
+                lead = r[shift + deg]
+                for j in range(deg + 1):
+                    r[shift + j] = (r[shift + j] - lead * g[j]) % p
+            if not any(r):
+                return False
+    return True
+
+
+def trial_division_modulus(p, e):
+    """Oracle: the first monic irreducible in constant-first lexicographic order."""
+    for body in itertools.product(range(p), repeat=e):
+        if trial_division_irreducible(body + (1,), p):
+            return body + (1,)
+
+
+PRIME_POWERS_4096 = [(p, e) for p in range(2, 65) if is_prime(p)
+                     for e in range(2, 13) if p ** e <= 4096]
+
+
+@pytest.mark.parametrize("p,e", PRIME_POWERS_4096 + [(3, 11), (2, 16)])
+def test_canonical_modulus_matches_trial_division(p, e):
+    assert make_field(p, e).modulus == trial_division_modulus(p, e)
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4), (2, 6), (2, 8), (3, 2), (3, 3),
+                                 (3, 4), (5, 2), (5, 3), (7, 2), (2, 9)])
+def test_rabin_test_matches_trial_division_on_every_monic(p, e):
+    """Every monic polynomial of degree e, those divisible by x included."""
+    for body in itertools.product(range(p), repeat=e):
+        cand = body + (1,)
+        assert _is_irreducible(cand, p) == trial_division_irreducible(cand, p), cand
 
 
 def test_make_field_determinism_and_caching():

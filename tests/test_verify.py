@@ -6,13 +6,15 @@ import json
 
 import pytest
 
+from multirank.cli import EXIT_VERIFY_FAILURE, main
 from multirank.field import make_field
-from multirank.counting import zero_fiber_target
+from multirank.counting import DEFAULT_BUDGET_BITS, zero_fiber_target
 from multirank.oracles import count_fiber
 from multirank.tensor import (
     MultilinearForm,
     diagonal,
     int_diagonal,
+    random_form,
     random_int_form,
 )
 from multirank.tensorio import form_from_dict, form_to_dict
@@ -60,6 +62,59 @@ def test_scaling_charp_campaign():
 def test_scaling_charp_requires_seed():
     with pytest.raises(ValueError):
         run_suite("scale-charp", grid="small")
+
+
+def raise_one_count(hist, F, b):
+    """Set one nonzero key to N^0 + 1 (no such key exists when b = 0)."""
+    if b:
+        zero = zero_fiber_target(F, b)
+        y = (((1,) + (0,) * (b - 1),) + zero[0][1:],) + zero[1:]
+        hist[y] = hist[zero] + 1
+    return hist
+
+
+def inflate_total(hist, F, b):
+    """Add keys outside the target space, none above N^0, until the total is
+    [H:H0]^(d-1) * N^0 + 1."""
+    n0 = hist[zero_fiber_target(F, b)]
+    missing = F.field.q ** (F.n * b * (F.d - 1)) * n0 + 1 - sum(hist.values())
+    for k in range(-(-missing // n0)):
+        hist[(((-1 - k,),),)] = min(n0, missing - k * n0)
+    return hist
+
+
+CHARP_FAULTS = {"count-above-N0": (raise_one_count, "N^y <= N^0"),
+                "total-above-bound": (inflate_total, "total <= [H:H0]^(d-1) * N over H0")}
+
+
+@pytest.fixture(params=sorted(CHARP_FAULTS))
+def charp_fault(request, monkeypatch):
+    """Corrupt the histogram that verify's fiber_counts returns; the value is
+    the relation that must then fail."""
+    import multirank.verify as V
+
+    corrupt, relation = CHARP_FAULTS[request.param]
+    real = V.fiber_counts
+
+    def faulty(F, a, b, budget_bits=DEFAULT_BUDGET_BITS):
+        return corrupt(real(F, a, b, budget_bits), F, b)
+
+    monkeypatch.setattr(V, "fiber_counts", faulty)
+    return relation
+
+
+def test_scaling_charp_fails_hard_on_an_injected_fault(charp_fault):
+    rep = verify_scaling_charp(random_form(F3, 3, 2, 11), 2, 1)
+    assert [f["relation"] for f in rep.failures] == [charp_fault]
+    assert not rep.passed and not rep.advisories
+
+
+def test_verify_scale_charp_exits_on_an_injected_fault(charp_fault, capsys):
+    code = main(["verify", "scale-charp", "--grid", "small", "--seed", "7"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_VERIFY_FAILURE
+    assert [f["relation"] for f in doc["failures"]] == [charp_fault]
+    assert not doc["passed"] and not doc["advisories"]
 
 
 def test_eval_fibers_diagonal():
