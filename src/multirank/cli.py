@@ -59,21 +59,21 @@ def _emit(doc) -> None:
     sys.stdout.write("\n")
 
 
-def _emit_lines(rows: Iterable[dict], fmt: str, fields: list[str], stream=None) -> None:
-    """One line per row, each flushed as soon as the row is produced."""
-    stream = stream or sys.stdout
-    if fmt == "json":
-        for row in rows:
-            json.dump(row, stream, sort_keys=True)
-            stream.write("\n")
-            stream.flush()
-    elif fmt == "csv":
-        stream.write(",".join(fields) + "\n")
-        for row in rows:
-            stream.write(",".join(str(row[f]) for f in fields) + "\n")
-            stream.flush()
-    else:
-        raise InputError(f"unsupported format {fmt!r}")
+def _emit_lines(rows: Iterable[dict], fmt: str, fields: list[str]) -> None:
+    """One line per row, each flushed as soon as the row is produced.
+
+    fmt is "json" or "csv"; argparse's choices admit nothing else.
+    """
+    out = sys.stdout
+    if fmt == "csv":
+        out.write(",".join(fields) + "\n")
+    for row in rows:
+        if fmt == "csv":
+            out.write(",".join(str(row[f]) for f in fields) + "\n")
+        else:
+            json.dump(row, out, sort_keys=True)
+            out.write("\n")
+        out.flush()
 
 
 def _load_finite_tensor(path) -> MultilinearForm:

@@ -200,7 +200,7 @@ class PrkResult:
         if self.exact and self.lower != self.upper:
             raise ValueError("exact result must have matching bounds")
 
-    def to_dict(self, F: MultilinearForm | None = None) -> dict:
+    def to_dict(self) -> dict:
         out = {"lower": self.lower, "upper": self.upper, "exact": self.exact}
         if self.certificate is not None:
             out["certificate"] = [

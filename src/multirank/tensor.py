@@ -10,12 +10,19 @@ differences, and seeded random generators.
 
 Coefficients of field forms are stored as element indices (an internal
 encoding; see multirank.field); accessors hand out FieldElement digit
-vectors. All objects are immutable and safe to share across threads.
+vectors. A field coefficient or vector entry given here is an int, taken
+mod q as an index, or else anything FieldSpec.element accepts (a
+FieldElement of the same field, or exactly e digits). Every dense
+constructor raises BudgetError when n^d > MAX_TENSOR_ENTRIES = 2^24,
+before it allocates or draws anything. All objects are immutable and
+safe to share across threads.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -31,15 +38,23 @@ def _offsets(n: int, d: int) -> tuple[int, ...]:
     return tuple(n ** (d - 1 - k) for k in range(d))
 
 
-def _coerce_index(F, value) -> int:
-    """Accept a FieldElement, a digit sequence, or an element index."""
-    if isinstance(value, FieldElement):
-        if value.spec != F.field:
-            raise ValueError("entry belongs to a different field")
-        return value.index
+def _check_storage(n: int, d: int) -> int:
+    """n^d for d >= 2 slots of dimension n >= 1; BudgetError past MAX_TENSOR_ENTRIES."""
+    if d < 2:
+        raise ValueError("need at least 2 slots")
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    bits = d * math.log2(n)  # n ** d itself takes seconds once d is in the millions
+    if bits > 24:  # log2(MAX_TENSOR_ENTRIES)
+        raise BudgetError("tensor storage n^d", bits, 24)
+    return n ** d
+
+
+def _coerce(field: FieldSpec, value) -> int:
+    """Element index of an int (taken mod q), a FieldElement or a digit sequence."""
     if isinstance(value, int):
-        return value % F.field.q
-    return kernel(F.field).index_of([int(v) % F.field.p for v in value])
+        return value % field.q
+    return field.element(value).index
 
 
 @dataclass(frozen=True)
@@ -58,8 +73,64 @@ class Covector:
         return all(e.is_zero() for e in self.entries)
 
 
+class _DenseForm:
+    """What the dense forms share: shape, storage, indexing, prefix contraction.
+
+    A subclass has fields d, n and coeffs (n^d entries, row-major) and
+    supplies _value (stored coefficient to public value) and _contract_first.
+    """
+
+    def _check_shape(self) -> None:
+        size = _check_storage(self.n, self.d)
+        if len(self.coeffs) != size:
+            raise ValueError(f"expected {size} coefficients, got {len(self.coeffs)}")
+
+    @staticmethod
+    def _flat_coeffs(d: int, n: int, entries: Mapping[tuple[int, ...], object],
+                     value) -> tuple[int, ...]:
+        """Row-major coefficients of {multi-index: value(entry)}, zero elsewhere."""
+        coeffs = [0] * _check_storage(n, d)
+        off = _offsets(n, d)
+        for idx, val in entries.items():
+            if len(idx) != d or any(not (0 <= i < n) for i in idx):
+                raise ValueError(f"bad multi-index {idx}")
+            coeffs[sum(i * o for i, o in zip(idx, off))] = value(val)
+        return tuple(coeffs)
+
+    def coeff(self, idx: Sequence[int]):
+        off = _offsets(self.n, self.d)
+        return self._value(self.coeffs[sum(i * o for i, o in zip(idx, off))])
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def entries(self) -> Iterable[tuple[tuple[int, ...], object]]:
+        """Nonzero entries as (multi-index, value) pairs, row-major order."""
+        value = self._value
+        for idx, c in zip(itertools.product(range(self.n), repeat=self.d), self.coeffs):
+            if c:
+                yield idx, value(c)
+
+    def _contract_prefix(self, vectors: Sequence[Sequence[int]],
+                         k: int | None = None) -> Sequence[int]:
+        """Contract the first len(vectors) slots, in order, with the given vectors.
+
+        With k, require exactly k vectors, each of length n.
+        """
+        if k is not None and len(vectors) != k:
+            raise ValueError(f"expected {k} vectors")
+        flat: Sequence[int] = self.coeffs
+        slots, n = self.d, self.n
+        for v in vectors:
+            if k is not None and len(v) != n:
+                raise ValueError(f"vector length {len(v)} != dimension {n}")
+            flat = self._contract_first(flat, slots, v)
+            slots -= 1
+        return flat
+
+
 @dataclass(frozen=True)
-class MultilinearForm:
+class MultilinearForm(_DenseForm):
     """Dense d-linear form on an n-dimensional space over a finite field.
 
     coeffs holds the n^d element indices in row-major multi-index order.
@@ -71,15 +142,7 @@ class MultilinearForm:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("need at least 2 slots")
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
-        size = self.n ** self.d
-        if size > MAX_TENSOR_ENTRIES:
-            raise BudgetError("tensor storage n^d", size.bit_length() - 1, 24)
-        if len(self.coeffs) != size:
-            raise ValueError(f"expected {size} coefficients, got {len(self.coeffs)}")
+        self._check_shape()
         q = self.field.q
         if any(not (0 <= c < q) for c in self.coeffs):
             raise ValueError("coefficient index out of range")
@@ -88,49 +151,21 @@ class MultilinearForm:
 
     @classmethod
     def zeros(cls, field: FieldSpec, d: int, n: int) -> "MultilinearForm":
-        return cls(field, d, n, (0,) * (n ** d))
+        return cls(field, d, n, (0,) * _check_storage(n, d))
 
     @classmethod
     def from_entries(cls, field: FieldSpec, d: int, n: int,
                      entries: Mapping[tuple[int, ...], object]) -> "MultilinearForm":
-        size = n ** d
-        if size > MAX_TENSOR_ENTRIES:
-            raise BudgetError("tensor storage n^d", size.bit_length() - 1, 24)
-        coeffs = [0] * size
-        off = _offsets(n, d)
-        proto = cls(field, d, n, (0,) * size)
-        for idx, val in entries.items():
-            if len(idx) != d or any(not (0 <= i < n) for i in idx):
-                raise ValueError(f"bad multi-index {idx}")
-            flat = sum(i * o for i, o in zip(idx, off))
-            coeffs[flat] = _coerce_index(proto, val)
-        return cls(field, d, n, tuple(coeffs))
-
-    # -- accessors -----------------------------------------------------------
-
-    def coeff(self, idx: Sequence[int]) -> FieldElement:
-        off = _offsets(self.n, self.d)
-        flat = sum(i * o for i, o in zip(idx, off))
-        return self.field.element(self.coeffs[flat])
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def entries(self) -> Iterable[tuple[tuple[int, ...], FieldElement]]:
-        """Nonzero entries as (multi-index, element) pairs, row-major order."""
-        for idx in itertools.product(range(self.n), repeat=self.d):
-            off = _offsets(self.n, self.d)
-            flat = sum(i * o for i, o in zip(idx, off))
-            if self.coeffs[flat]:
-                yield idx, self.field.element(self.coeffs[flat])
+        return cls(field, d, n, cls._flat_coeffs(d, n, entries, lambda v: _coerce(field, v)))
 
     # -- evaluation and contraction -------------------------------------------
 
-    def _vec_idx(self, vec) -> list[int]:
-        out = [_coerce_index(self, v) for v in vec]
-        if len(out) != self.n:
-            raise ValueError(f"vector length {len(out)} != dimension {self.n}")
-        return out
+    def _value(self, c: int) -> FieldElement:
+        return self.field.element(c)
+
+    def _indices(self, vectors: Sequence[Sequence]) -> list[list[int]]:
+        field = self.field
+        return [[_coerce(field, x) for x in v] for v in vectors]
 
     def _contract_first(self, flat: Sequence[int], slots: int, vec_idx: Sequence[int]) -> list[int]:
         """Contract the first slot of a flat slots-slot array with a vector."""
@@ -154,37 +189,18 @@ class MultilinearForm:
                             out[j] = add(out[j], mul(x, c))
         return out
 
-    def _contract_prefix(self, vectors_idx: Sequence[Sequence[int]]) -> list[int]:
-        flat: Sequence[int] = self.coeffs
-        slots = self.d
-        for v in vectors_idx:
-            flat = self._contract_first(flat, slots, v)
-            slots -= 1
-        return list(flat)
-
     def eval(self, vectors: Sequence[Sequence]) -> FieldElement:
         """F(x_1, ..., x_d)."""
-        if len(vectors) != self.d:
-            raise ValueError(f"expected {self.d} vectors")
-        vecs = [self._vec_idx(v) for v in vectors]
-        flat = self._contract_prefix(vecs)
-        return self.field.element(flat[0])
+        return self.field.element(self._contract_prefix(self._indices(vectors), self.d)[0])
 
     def contract_last(self, vectors: Sequence[Sequence]) -> Covector:
         """The covector F(x_1, ..., x_{d-1}, .)."""
-        if len(vectors) != self.d - 1:
-            raise ValueError(f"expected {self.d - 1} vectors")
-        vecs = [self._vec_idx(v) for v in vectors]
-        flat = self._contract_prefix(vecs)
-        return Covector(self.field, self.n,
-                        tuple(self.field.element(c) for c in flat))
+        flat = self._contract_prefix(self._indices(vectors), self.d - 1)
+        return Covector(self.field, self.n, tuple(self.field.element(c) for c in flat))
 
     def slice_matrix(self, vectors: Sequence[Sequence]) -> list[list[FieldElement]]:
         """M[i][j] = F(x_1, ..., x_{d-2}, e_i, e_j)."""
-        if len(vectors) != self.d - 2:
-            raise ValueError(f"expected {self.d - 2} vectors")
-        vecs = [self._vec_idx(v) for v in vectors]
-        flat = self._contract_prefix(vecs)
+        flat = self._contract_prefix(self._indices(vectors), self.d - 2)
         n = self.n
         el = self.field.element
         return [[el(flat[i * n + j]) for j in range(n)] for i in range(n)]
@@ -280,10 +296,7 @@ def weil_restrict(F: MultilinearForm, emb: FieldEmbedding) -> MultilinearForm:
     nK = ell * n
     offK = _offsets(nK, d)
     offL = _offsets(n, d)
-    size = nK ** d
-    if size > MAX_TENSOR_ENTRIES:
-        raise BudgetError("tensor storage n^d", size.bit_length() - 1, 24)
-    coeffs = [0] * size
+    coeffs = [0] * _check_storage(nK, d)
     # coordinate (j, i) of K^(l*n) sits at j*ell + i and stands for e_j * theta^i
     for jidx in itertools.product(range(n), repeat=d):
         c = F.coeffs[sum(j * o for j, o in zip(jidx, offL))]
@@ -299,9 +312,7 @@ def weil_restrict(F: MultilinearForm, emb: FieldEmbedding) -> MultilinearForm:
 
 def random_form(field: FieldSpec, d: int, n: int, seed: int) -> MultilinearForm:
     """Uniform i.i.d. coefficients from SplitMix64(seed)."""
-    size = n ** d
-    if size > MAX_TENSOR_ENTRIES:
-        raise BudgetError("tensor storage n^d", size.bit_length() - 1, 24)
+    size = _check_storage(n, d)
     rng = SplitMix64(seed)
     q = field.q
     return MultilinearForm(field, d, n, tuple(rng.below(q) for _ in range(size)))
@@ -312,7 +323,7 @@ def random_form(field: FieldSpec, d: int, n: int, seed: int) -> MultilinearForm:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IntMultilinearForm:
+class IntMultilinearForm(_DenseForm):
     """Dense d-linear form with arbitrary-precision integer coefficients."""
 
     d: int
@@ -320,45 +331,20 @@ class IntMultilinearForm:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("need at least 2 slots")
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
-        size = self.n ** self.d
-        if size > MAX_TENSOR_ENTRIES:
-            raise BudgetError("tensor storage n^d", size.bit_length() - 1, 24)
-        if len(self.coeffs) != size:
-            raise ValueError(f"expected {size} coefficients, got {len(self.coeffs)}")
+        self._check_shape()
 
     @classmethod
     def zeros(cls, d: int, n: int) -> "IntMultilinearForm":
-        return cls(d, n, (0,) * (n ** d))
+        return cls(d, n, (0,) * _check_storage(n, d))
 
     @classmethod
     def from_entries(cls, d: int, n: int,
                      entries: Mapping[tuple[int, ...], int]) -> "IntMultilinearForm":
-        size = n ** d
-        coeffs = [0] * size
-        off = _offsets(n, d)
-        for idx, val in entries.items():
-            if len(idx) != d or any(not (0 <= i < n) for i in idx):
-                raise ValueError(f"bad multi-index {idx}")
-            coeffs[sum(i * o for i, o in zip(idx, off))] = int(val)
-        return cls(d, n, tuple(coeffs))
+        return cls(d, n, cls._flat_coeffs(d, n, entries, int))
 
-    def coeff(self, idx: Sequence[int]) -> int:
-        off = _offsets(self.n, self.d)
-        return self.coeffs[sum(i * o for i, o in zip(idx, off))]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def entries(self) -> Iterable[tuple[tuple[int, ...], int]]:
-        off = _offsets(self.n, self.d)
-        for idx in itertools.product(range(self.n), repeat=self.d):
-            c = self.coeffs[sum(i * o for i, o in zip(idx, off))]
-            if c:
-                yield idx, c
+    @staticmethod
+    def _value(c: int) -> int:
+        return c
 
     def max_abs_coeff(self) -> int:
         return max((abs(c) for c in self.coeffs), default=0)
@@ -377,27 +363,11 @@ class IntMultilinearForm:
         return out
 
     def eval(self, vectors: Sequence[Sequence[int]]) -> int:
-        if len(vectors) != self.d:
-            raise ValueError(f"expected {self.d} vectors")
-        flat: Sequence[int] = self.coeffs
-        slots = self.d
-        for v in vectors:
-            if len(v) != self.n:
-                raise ValueError("vector length mismatch")
-            flat = self._contract_first(flat, slots, v)
-            slots -= 1
-        return flat[0]
+        return self._contract_prefix(vectors, self.d)[0]
 
     def contract_last(self, vectors: Sequence[Sequence[int]]) -> tuple[int, ...]:
         """G(x)_i = F(x_1, ..., x_{d-1}, e_i) over the integers."""
-        if len(vectors) != self.d - 1:
-            raise ValueError(f"expected {self.d - 1} vectors")
-        flat: Sequence[int] = self.coeffs
-        slots = self.d
-        for v in vectors:
-            flat = self._contract_first(flat, slots, v)
-            slots -= 1
-        return tuple(flat)
+        return tuple(self._contract_prefix(vectors, self.d - 1))
 
 
 def int_diagonal(m: int, n: int, d: int) -> IntMultilinearForm:
@@ -408,8 +378,8 @@ def int_diagonal(m: int, n: int, d: int) -> IntMultilinearForm:
 
 def random_int_form(d: int, n: int, coeff_bound: int, seed: int) -> IntMultilinearForm:
     """Uniform i.i.d. entries in [-coeff_bound, coeff_bound]."""
+    size = _check_storage(n, d)
     rng = SplitMix64(seed)
-    size = n ** d
     return IntMultilinearForm(
         d, n, tuple(rng.int_between(-coeff_bound, coeff_bound) for _ in range(size)))
 
@@ -454,16 +424,7 @@ class HomogeneousForm:
         norm: dict[tuple[int, ...], int] = {}
         for exp, val in terms.items():
             exp = tuple(int(x) for x in exp)
-            if field is None:
-                c = int(val)
-            elif isinstance(val, FieldElement):
-                if val.spec != field:
-                    raise ValueError("coefficient from a different field")
-                c = val.index
-            elif isinstance(val, int):
-                c = val % field.q
-            else:
-                c = kernel(field).index_of([int(v) % field.p for v in val])
+            c = int(val) if field is None else _coerce(field, val)
             if c:
                 norm[exp] = c
         return cls(field, n, d, tuple(sorted(norm.items())))
@@ -502,10 +463,11 @@ class HomogeneousForm:
         return total
 
     def evaluate(self, point: Sequence) -> FieldElement | int:
+        if len(point) != self.n:
+            raise ValueError(f"point has {len(point)} coordinates, expected {self.n}")
         if self.field is None:
             return self.evaluate_index([int(x) for x in point])
-        idxs = [_coerce_poly_point(self.field, x) for x in point]
-        return self.field.element(self.evaluate_index(idxs))
+        return self.field.element(self.evaluate_index([_coerce(self.field, x) for x in point]))
 
     def partial(self, j: int) -> "HomogeneousForm":
         """Formal partial derivative in variable j (degree drops by one)."""
@@ -526,16 +488,6 @@ class HomogeneousForm:
 
     def gradient(self) -> list["HomogeneousForm"]:
         return [self.partial(j) for j in range(self.n)]
-
-
-def _coerce_poly_point(field: FieldSpec, x) -> int:
-    if isinstance(x, FieldElement):
-        if x.spec != field:
-            raise ValueError("point coordinate from a different field")
-        return x.index
-    if isinstance(x, int):
-        return x % field.q
-    return kernel(field).index_of([int(v) % field.p for v in x])
 
 
 def poly_base_change(f: HomogeneousForm, emb: FieldEmbedding) -> HomogeneousForm:
@@ -583,32 +535,26 @@ def polarize(f: HomogeneousForm) -> MultilinearForm | IntMultilinearForm:
     if f.field is not None and f.field.p <= d:
         raise ValueError(
             f"polarization needs characteristic 0 or > degree, got p = {f.field.p}")
+    _check_storage(n, d)
     subsets = [[t for t in range(d) if mask >> t & 1] for mask in range(1, 1 << d)]
     signs = [(-1) ** (d - len(T)) for T in subsets]
-
     if f.field is None:
-        coeffs = []
-        for idx in itertools.product(range(n), repeat=d):
-            total = 0
-            for T, s in zip(subsets, signs):
-                point = [0] * n
-                for t in T:
-                    point[idx[t]] += 1
-                total += s * f.evaluate_index(point)
-            coeffs.append(total)
-        return IntMultilinearForm(d, n, tuple(coeffs))
+        add, sub = operator.add, operator.sub
+    else:
+        K = kernel(f.field)
+        add, sub = K.add, K.sub
 
-    K = kernel(f.field)
-    p = f.field.p
     coeffs = []
     for idx in itertools.product(range(n), repeat=d):
         total = 0
         for T, s in zip(subsets, signs):
-            counts = [0] * n
+            # each coordinate is at most d < p, so over F_p it is its own index
+            point = [0] * n
             for t in T:
-                counts[idx[t]] += 1
-            point = [c % p for c in counts]  # prime-field scalars as indices
+                point[idx[t]] += 1
             v = f.evaluate_index(point)
-            total = K.add(total, v) if s > 0 else K.sub(total, v)
+            total = add(total, v) if s > 0 else sub(total, v)
         coeffs.append(total)
+    if f.field is None:
+        return IntMultilinearForm(d, n, tuple(coeffs))
     return MultilinearForm(f.field, d, n, tuple(coeffs))

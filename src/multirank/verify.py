@@ -269,7 +269,6 @@ def verify_lift_threshold(G: IntMultilinearForm, L: int, sigma: float,
 # ---------------------------------------------------------------------------
 
 def verify_rank_chain(corpus: Sequence[MultilinearForm], l_max: int = 8,
-                      grid: dict | None = None,
                       check_extension_prk: bool = False, extension_l: int = 2,
                       budget_bits: float = DEFAULT_BUDGET_BITS) -> VerifyReport:
     """Chain inequalities over a corpus.
@@ -280,7 +279,7 @@ def verify_rank_chain(corpus: Sequence[MultilinearForm], l_max: int = 8,
     the degree-l extension with exact partition ranks on both sides.
     Advisory: missing stabilization, and grk_hat <= prk upper bound.
     """
-    rep = VerifyReport("rank-chain", grid or {"corpus_size": len(corpus), "l_max": l_max})
+    rep = VerifyReport("rank-chain", {"corpus_size": len(corpus), "l_max": l_max})
     start = time.perf_counter()
     tol = 1e-9
     for F in corpus:
@@ -359,11 +358,10 @@ def verify_rank_chain(corpus: Sequence[MultilinearForm], l_max: int = 8,
 # ---------------------------------------------------------------------------
 
 def verify_polar_sandwich(polys: Sequence[HomogeneousForm], l_max: int = 2,
-                          grid: dict | None = None,
                           budget_bits: float = DEFAULT_BUDGET_BITS) -> VerifyReport:
     """str(f) <= prk(polarization) <= binom(d, floor(d/2)) * str(f), and
     Brk_hat <= 2 * str(f) whenever the Birch estimate stabilizes."""
-    rep = VerifyReport("polar", grid or {"corpus_size": len(polys), "l_max": l_max})
+    rep = VerifyReport("polar", {"corpus_size": len(polys), "l_max": l_max})
     start = time.perf_counter()
     for f in polys:
         if f.field is None:

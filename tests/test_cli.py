@@ -284,6 +284,15 @@ def test_exit_codes_budget_and_input(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+def test_oversized_integer_tensor_is_a_budget_stop(tmp_path, capsys, no_draws):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"field": "Z", "d": 30, "n": 10, "entries": []}))
+    assert main(["charzero", "scan", "--tensor", str(path)]) == EXIT_BUDGET
+    argv = ["gen", "random", "--integer", "--d", "30", "--n", "10", "--seed", "1"]
+    assert main(argv) == EXIT_BUDGET
+    assert capsys.readouterr().err.count("budget exceeded: tensor storage n^d") == 2
+
+
 def test_internal_fault_exits_internal_not_verify_failure(tmp_path, capsys, monkeypatch):
     def broken(*_):
         raise RuntimeError("certificate failed re-verification")

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from multirank.errors import BudgetError
 from multirank.field import embed, make_field
 from multirank.rng import SplitMix64
 from multirank.tensor import (
@@ -314,6 +315,59 @@ def test_int_form_eval_and_contract():
     assert G.contract_last([[2], [3]]) == (6,)
     Z = IntMultilinearForm.zeros(3, 2)
     assert Z.contract_last([[1, 2], [3, 4]]) == (0, 0)
+
+
+def no_evaluation(self, point):
+    raise AssertionError("polynomial evaluated before the storage gate")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IntMultilinearForm.from_entries(30, 10, {}),
+    lambda: IntMultilinearForm.zeros(30, 10),
+    lambda: random_int_form(30, 10, 1, 7),
+    lambda: MultilinearForm.from_entries(F2, 30, 10, {}),
+    lambda: MultilinearForm.zeros(F2, 10 ** 6, 10),
+    lambda: random_form(F2, 30, 10, 7),
+    lambda: polarize(HomogeneousForm.zero(None, 5000, 2)),
+], ids=["int-from-entries", "int-zeros", "random-int", "from-entries", "huge-d-zeros", "random",
+     "polarize"])
+def test_storage_gate_runs_before_allocation(build, no_draws, monkeypatch):
+    monkeypatch.setattr(HomogeneousForm, "evaluate_index", no_evaluation)
+    with pytest.raises(BudgetError):
+        build()
+
+
+G_INT = int_diagonal(2, 2, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: G_INT.contract_last([[1], [1, 0]]),
+    lambda: G_INT.contract_last([[1, 0, 1], [1, 0]]),
+    lambda: G_INT.eval([[1, 0], [1, 0], [1]]),
+    lambda: HomogeneousForm.from_terms(None, 2, 3, {(3, 0): 1}).evaluate([1]),
+], ids=["int-contract-short", "int-contract-long", "int-eval-short", "poly-point-short"])
+def test_vector_lengths_are_checked(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("digits", [(1,), (1, 1, 1)])
+@pytest.mark.parametrize("use", ["eval", "contract_last", "slice_matrix", "from_entries",
+                                 "from_terms", "evaluate"])
+def test_digit_lists_need_exactly_e_digits(use, digits):
+    one = (1, 0)
+    D = diagonal(1, 2, 3, F4)
+    f = HomogeneousForm.from_terms(F4, 2, 3, {(3, 0): one})
+    calls = {
+        "eval": lambda: D.eval([[digits, one], [one, one], [one, one]]),
+        "contract_last": lambda: D.contract_last([[digits, one], [one, one]]),
+        "slice_matrix": lambda: D.slice_matrix([[digits, one]]),
+        "from_entries": lambda: MultilinearForm.from_entries(F4, 3, 2, {(0, 0, 0): digits}),
+        "from_terms": lambda: HomogeneousForm.from_terms(F4, 2, 3, {(3, 0): digits}),
+        "evaluate": lambda: f.evaluate([digits, one]),
+    }
+    with pytest.raises(ValueError):
+        calls[use]()
 
 
 def test_homogeneous_form_invariants():

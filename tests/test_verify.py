@@ -54,12 +54,6 @@ def test_scaling_charp_b0_single_fiber():
     assert rep.passed
 
 
-def test_scaling_charp_campaign():
-    rep = run_suite("scale-charp", grid="small", seed=7)
-    assert rep.passed
-    assert rep.cases > 0
-
-
 def test_scaling_charp_requires_seed():
     with pytest.raises(ValueError):
         run_suite("scale-charp", grid="small")
@@ -143,11 +137,6 @@ def test_eval_fibers_zero_tensor_equality():
     assert rep.passed
 
 
-def test_eval_fibers_campaign():
-    rep = run_suite("eval-fibers", grid="small", seed=3)
-    assert rep.passed
-
-
 def test_scaling_char0_example():
     G = int_diagonal(1, 1, 3)
     rep = verify_scaling_char0(G, 2, 2)
@@ -159,11 +148,6 @@ def test_scaling_char0_zero_form():
     Z = IntMultilinearForm.zeros(3, 1)
     rep = verify_scaling_char0(Z, 3, 2)
     assert rep.passed  # (LR)^(n(d-1)) <= L^(n(d-1)) (2R-1)^(n(d-1))
-
-
-def test_scaling_char0_campaign():
-    rep = run_suite("scale-char0", grid="small", seed=11)
-    assert rep.passed
 
 
 def test_lift_threshold_xyz():
@@ -197,25 +181,9 @@ def test_lift_non_example_outside_height_bound():
     assert 10 >= lift_height_bound(100, 0.4)
 
 
-def test_lift_campaign_small():
-    rep = run_suite("lift", grid="small", seed=20260810)
-    assert rep.passed
-
-
-def test_rank_chain_small_campaign():
-    rep = run_suite("rank-chain", grid="small", seed=5)
-    assert rep.passed
-    assert rep.cases > 20
-
-
 def test_rank_chain_zero_tensor():
     Z = MultilinearForm.zeros(F2, 3, 2)
     rep = verify_rank_chain([Z], l_max=3)
-    assert rep.passed
-
-
-def test_polar_small_campaign():
-    rep = run_suite("polar", grid="small", seed=13)
     assert rep.passed
 
 
@@ -237,11 +205,6 @@ def test_weil_gram_matrix_rank_doubles():
     F4 = make_field(2, 2)
     M = MultilinearForm.from_entries(F4, 2, 1, {(0, 0): 1})
     rep = verify_weil(M, F2, l_max=2)
-    assert rep.passed
-
-
-def test_weil_campaign_small():
-    rep = run_suite("weil", grid="small", seed=17)
     assert rep.passed
 
 
