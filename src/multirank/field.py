@@ -17,6 +17,11 @@ zech[k] = log(1 + g^k), a + b = g^(log a + zech[log b - log a]). So a
 kernel's set-up builds a few tables of O(q) entries and no q x q table.
 Above 2^16, odd-characteristic arithmetic works digit by digit.
 
+Polynomials over F_q are coefficient tuples of element indices, constant
+term first. The _poly_* helpers that take a kernel (product, remainder,
+gcd, power mod m, roots) serve Rabin's irreducibility test over F_p, the
+F_q[t] counters and the root finding of count_SF's line kernel.
+
 Embeddings between F_{p^e} and F_{p^{e*l}} are found by exhaustive root
 search of the source modulus in the target, taking the least root, and are
 checked on construction. No compatible tower of embeddings is attempted:
@@ -71,7 +76,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial arithmetic over F_p (dense coefficient tuples, constant first)
+# polynomial arithmetic (dense coefficient tuples, constant first)
 # ---------------------------------------------------------------------------
 
 def _poly_trim(c: Sequence[int]) -> tuple[int, ...]:
@@ -82,7 +87,7 @@ def _poly_trim(c: Sequence[int]) -> tuple[int, ...]:
 
 
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> tuple[int, ...]:
-    """a*b reduced modulo the monic polynomial mod, all over F_p."""
+    """a*b reduced modulo the monic polynomial mod, all over F_p, on raw digits (kernel builds)."""
     e = len(mod) - 1
     prod = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
@@ -101,18 +106,148 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int)
     return tuple(out)
 
 
-def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    """A gcd of a and b over F_p by Euclid's algorithm, trimmed, not made monic."""
+# The helpers below work over any F_q, on element indices through a kernel K
+# (its add, sub, mul, inv); Rabin's test runs them on the prime field's kernel.
+
+def _poly_mul_trunc(a: Sequence[int], b: Sequence[int], K, trunc: int | None = None) -> tuple[int, ...]:
+    """Convolution of coefficient tuples over the field, optionally mod t^trunc."""
+    if not a or not b:
+        return ()
+    la, lb = len(a), len(b)
+    size = la + lb - 1 if trunc is None else min(la + lb - 1, trunc)
+    out = [0] * size
+    add, mul = K.add, K.mul
+    for i, ai in enumerate(a):
+        if ai:
+            jmax = size - i
+            for j, bj in enumerate(b[:jmax]):
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+    return tuple(out)
+
+
+def _poly_add(a: Sequence[int], b: Sequence[int], K) -> tuple[int, ...]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        if x:
+            out[i] = K.add(out[i], x)
+    return tuple(out)
+
+
+def _poly_divmod(a: Sequence[int], m: Sequence[int], K) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of a by m, both trimmed; m is trimmed and nonzero."""
+    mul, sub = K.mul, K.sub
+    k, lead = len(m) - 1, K.inv(m[-1])
+    r, quo = list(a), []
+    for i in range(len(r) - 1, k - 1, -1):
+        f = mul(r[i], lead)
+        quo.append(f)
+        if f:
+            for j in range(k):
+                if m[j]:
+                    r[i - k + j] = sub(r[i - k + j], mul(f, m[j]))
+    return _poly_trim(quo[::-1]), _poly_trim(r[:k])
+
+
+def _poly_gcd(a: Sequence[int], b: Sequence[int], K) -> tuple[int, ...]:
+    """The monic gcd of a and b by Euclid's algorithm; () when both are zero."""
     a, b = _poly_trim(a), _poly_trim(b)
     while b:
-        r, inv = list(a), pow(b[-1], -1, p)
-        while len(r) >= len(b):
-            f, shift = r[-1] * inv % p, len(r) - len(b)
-            for j, c in enumerate(b):
-                r[shift + j] = (r[shift + j] - f * c) % p
-            r = list(_poly_trim(r))
-        a, b = b, tuple(r)
-    return a
+        a, b = b, _poly_divmod(a, b, K)[1]
+    if not a:
+        return a
+    lead = K.inv(a[-1])
+    return tuple(K.mul(c, lead) for c in a)
+
+
+def _poly_powmod(h: Sequence[int], k: int, m: Sequence[int], K) -> tuple[int, ...]:
+    """h^k mod m for k >= 1 and deg m >= 1, squaring from the top bit of k.
+
+    A square takes each cross product once, and none in characteristic 2;
+    the reduction by the monic x^D = tail keeps no quotient.
+    """
+    add, mul = K.add, K.mul
+    lead = K.inv(m[-1])
+    tail = [K.neg(mul(c, lead)) for c in m[:-1]]  # x^D = sum_j tail[j] x^j mod m
+    D, odd = len(tail), K.p != 2
+
+    def reduce(prod: list[int]) -> list[int]:
+        for i in range(len(prod) - 1, D - 1, -1):
+            f = prod[i]
+            if f:
+                for j, c in enumerate(tail, i - D):
+                    if c:
+                        prod[j] = add(prod[j], mul(f, c))
+        return prod[:D]
+
+    acc = reduce(list(h))
+    for bit in bin(k)[3:]:
+        sq = [0] * (2 * len(acc) - 1)
+        for i, x in enumerate(acc):
+            if x:
+                sq[2 * i] = add(sq[2 * i], mul(x, x))
+                if odd:
+                    x2 = add(x, x)
+                    for j in range(i + 1, len(acc)):
+                        if acc[j]:
+                            sq[i + j] = add(sq[i + j], mul(x2, acc[j]))
+        acc = reduce(sq)
+        if bit == "1":
+            acc = reduce(list(_poly_mul_trunc(acc, h, K)))
+    return _poly_trim(acc)
+
+
+def _poly_from_newton(c: Sequence[int], K) -> tuple[int, ...]:
+    """Coefficients of sum_k c[k] prod_{i<k} (t - x_i), x_i the element of index i, trimmed."""
+    add, mul, sub = K.add, K.mul, K.sub
+    m = [c[-1]]
+    for k in range(len(c) - 2, -1, -1):  # m = m (t - x_k) + c_k
+        m = [sub(a, mul(k, b)) for a, b in zip([0] + m, m + [0])]
+        m[0] = add(m[0], c[k])
+    return _poly_trim(m)
+
+
+def _poly_field_roots(m: Sequence[int], K) -> tuple[int, ...]:
+    """gcd(m, t^q - t): the product of (t - x) over the distinct roots x of m in F_q.
+
+    t^q mod m by repeated squaring; m is trimmed and of degree >= 1.
+    """
+    w = list(_poly_powmod((0, 1), K.q, m, K)) + [0, 0]
+    w[1] = K.sub(w[1], 1)
+    return _poly_gcd(m, w, K)
+
+
+def _poly_roots(h: Sequence[int], K, start: int = 0) -> list[int]:
+    """The roots of h, which must be a product of distinct linear factors over F_q.
+
+    Deterministic equal-degree splitting. In odd characteristic the roots x
+    with x + a a nonzero square are those of gcd(h, (t + a)^((q-1)/2) - 1),
+    for a = 0, 1, ...; some a splits any two roots x != y, or else the
+    (q-1)/2 nonzero squares would be closed under adding y - x, a union of
+    cosets of a subgroup of order p, which p does not divide. In
+    characteristic 2 the roots x with Tr(b x) = 0 are those of gcd(h,
+    sum_{i<e} (b t)^(2^i)), for b = x^0, x^1, ..., x^(e-1): a basis of F_q
+    over F_2, and the trace form is nondegenerate, so one of them splits
+    any two roots. A candidate that does not split h splits none of its
+    factors, so both parts go on from the next one.
+    """
+    if len(h) < 3:
+        return [K.neg(K.mul(h[0], K.inv(h[1])))] if len(h) == 2 else []
+    for c in range(start, K.e if K.p == 2 else K.q):
+        if K.p == 2:
+            w = s = _poly_divmod((0, 1 << c), h, K)[1]
+            for _ in range(K.e - 1):
+                s = _poly_powmod(s, 2, h, K)
+                w = _poly_add(w, s, K)
+        else:
+            w = list(_poly_powmod((c, 1), (K.q - 1) // 2, h, K)) or [0]
+            w[0] = K.sub(w[0], 1)
+        g = _poly_gcd(h, w, K)
+        if 1 < len(g) < len(h):
+            return _poly_roots(g, K, c + 1) + _poly_roots(_poly_divmod(h, g, K)[0], K, c + 1)
+    raise ArithmeticError("polynomial is not a product of distinct linear factors")
 
 
 def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
@@ -120,26 +255,22 @@ def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
 
     f is irreducible iff x^(p^e) = x mod f and gcd(x^(p^(e/r)) - x, f) = 1
     for each prime r | e. The powers x^(p^k) mod f are taken by raising
-    to the p-th power e times.
+    to the p-th power e times, with the F_q polynomial helpers above on
+    the prime field's kernel (an F_p element's index is its digit).
     """
     e = len(modulus) - 1
     if e == 1:
         return True
-    x = (0, 1) + (0,) * (e - 2)
-    frob = [x]
+    K = kernel(make_field(p))
+    frob = [(0, 1)]
     for _ in range(e):
-        h, acc, k = frob[-1], (1,) + (0,) * (e - 1), p
-        while k:  # acc = frob[-1]^p mod f by square and multiply
-            if k & 1:
-                acc = _poly_mulmod(acc, h, modulus, p)
-            h, k = _poly_mulmod(h, h, modulus, p), k >> 1
-        frob.append(acc)
-    if frob[e] != x:
+        frob.append(_poly_powmod(frob[-1], p, modulus, K))
+    if frob[e] != frob[0]:
         return False
     for r in _prime_factors(e):
-        h = list(frob[e // r])
+        h = list(frob[e // r]) + [0, 0]
         h[1] = (h[1] - 1) % p
-        if len(_poly_gcd(h, modulus, p)) != 1:
+        if len(_poly_gcd(h, modulus, K)) != 1:
             return False
     return True
 

@@ -407,6 +407,8 @@ class HomogeneousForm:
         for exp, c in self.terms:
             if len(exp) != self.n:
                 raise ValueError(f"exponent vector {exp} has wrong length")
+            if min(exp, default=0) < 0:
+                raise ValueError(f"exponent vector {exp} has a negative entry")
             if sum(exp) != self.d:
                 raise ValueError(f"exponent vector {exp} does not sum to degree {self.d}")
             if exp in seen:

@@ -23,22 +23,30 @@ from .field import FieldSpec, make_field
 from .tensor import HomogeneousForm, IntMultilinearForm, MultilinearForm
 
 
+def _as_int(val, what: str) -> int:
+    """val as an int; JSON reads 1e400 as float infinity, so a float must be finite and integral."""
+    if isinstance(val, float) and not val.is_integer():
+        raise InputError(f"{what} must be integers, got {val!r}")
+    try:
+        return int(val)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be integers, got {val!r}") from exc
+
+
 def field_from_descriptor(desc) -> FieldSpec | None:
     """None means integer coefficients (descriptor "Z")."""
     if desc == "Z":
         return None
     if not isinstance(desc, Mapping):
         raise InputError('field must be "Z" or an object {"p", "e", "modulus"?}')
-    try:
-        p = int(desc["p"])
-        e = int(desc.get("e", 1))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad field descriptor: {desc!r}") from exc
+    if "p" not in desc:
+        raise InputError(f"bad field descriptor: {desc!r}")
+    p, e = _as_int(desc["p"], "field p and e"), _as_int(desc.get("e", 1), "field p and e")
     modulus = desc.get("modulus")
     try:
         if modulus is None:
             return make_field(p, e)
-        return FieldSpec(p, e, tuple(int(c) for c in modulus))
+        return FieldSpec(p, e, tuple(_as_int(c, "modulus coefficients") for c in modulus))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -61,10 +69,7 @@ def _parse_field_value(val, field: FieldSpec, where: str) -> tuple[int, ...]:
         raise InputError(f"{where}: field values must be digit lists of length {field.e}")
     if len(val) != field.e:
         raise InputError(f"{where}: expected {field.e} digits, got {len(val)}")
-    try:
-        return tuple(int(v) % field.p for v in val)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: digits must be integers") from exc
+    return tuple(_as_int(v, f"{where}: digits") % field.p for v in val)
 
 
 def form_from_dict(doc) -> MultilinearForm | IntMultilinearForm:
@@ -74,10 +79,7 @@ def form_from_dict(doc) -> MultilinearForm | IntMultilinearForm:
         if key not in doc:
             raise InputError(f"tensor document missing {key!r}")
     field = field_from_descriptor(doc["field"])
-    try:
-        d, n = int(doc["d"]), int(doc["n"])
-    except (TypeError, ValueError) as exc:
-        raise InputError("d and n must be integers") from exc
+    d, n = _as_int(doc["d"], "d and n"), _as_int(doc["n"], "d and n")
     entries = doc.get("entries", [])
     if not isinstance(entries, list):
         raise InputError("entries must be a list")
@@ -90,10 +92,7 @@ def form_from_dict(doc) -> MultilinearForm | IntMultilinearForm:
         idx = ent["idx"]
         if not isinstance(idx, (list, tuple)) or len(idx) != d:
             raise InputError(f"{where}: idx {idx!r} must have length d = {d}")
-        try:
-            idx = tuple(int(i) for i in idx)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{where}: idx must contain integers") from exc
+        idx = tuple(_as_int(i, f"{where}: idx entries") for i in idx)
         if any(not (0 <= i < n) for i in idx):
             raise InputError(f"{where}: idx {list(idx)} out of range for n = {n}")
         if field is None:
@@ -137,10 +136,7 @@ def poly_from_dict(doc) -> HomogeneousForm:
         if key not in doc:
             raise InputError(f"polynomial document missing {key!r}")
     field = field_from_descriptor(doc["field"])
-    try:
-        d, n = int(doc["d"]), int(doc["n"])
-    except (TypeError, ValueError) as exc:
-        raise InputError("d and n must be integers") from exc
+    d, n = _as_int(doc["d"], "d and n"), _as_int(doc["n"], "d and n")
     monomials = doc.get("monomials", [])
     terms: dict[tuple[int, ...], object] = {}
     for k, ent in enumerate(monomials):
@@ -150,7 +146,7 @@ def poly_from_dict(doc) -> HomogeneousForm:
         exp = ent["exp"]
         if not isinstance(exp, (list, tuple)) or len(exp) != n:
             raise InputError(f"{where}: exp must have length n = {n}")
-        exp = tuple(int(e) for e in exp)
+        exp = tuple(_as_int(e, f"{where}: exponents") for e in exp)
         if any(e < 0 for e in exp) or sum(exp) != d:
             raise InputError(f"{where}: exponents {list(exp)} must be >= 0 and sum to d = {d}")
         if field is None:

@@ -293,6 +293,34 @@ def test_oversized_integer_tensor_is_a_budget_stop(tmp_path, capsys, no_draws):
     assert capsys.readouterr().err.count("budget exceeded: tensor storage n^d") == 2
 
 
+
+# JSON reads 1e400 as float infinity; int() of it raises OverflowError
+@pytest.mark.parametrize("text", [
+    '{"field": "Z", "d": 1e400, "n": 2, "entries": []}',
+    '{"field": "Z", "d": 3, "n": 2.5, "entries": []}',
+    '{"field": "Z", "d": 3, "n": 2, "entries": [{"idx": [0, 1, 1e400], "val": "1"}]}',
+    '{"field": {"p": 2}, "d": 3, "n": 2, "entries": [{"idx": [0, 1.5, 1], "val": [1]}]}',
+    '{"field": {"p": 1e400}, "d": 3, "n": 2, "entries": []}',
+])
+def test_non_integral_tensor_numbers_exit_input(tmp_path, capsys, text):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    assert main(["charzero", "scan", "--tensor", str(path)]) == EXIT_INPUT
+    assert "must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"field": {"p": 5}, "n": 2, "d": 1e400, "monomials": []}',
+    '{"field": {"p": 5}, "n": 2.5, "d": 3, "monomials": []}',
+    '{"field": {"p": 5}, "n": 2, "d": 3, "monomials": [{"exp": [1e400, 0], "val": [1]}]}',
+    '{"field": {"p": 5}, "n": 2, "d": 3, "monomials": [{"exp": [2.5, 0.5], "val": [1]}]}',
+])
+def test_non_integral_poly_numbers_exit_input(tmp_path, capsys, text):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    assert main(["poly", "--poly", str(path)]) == EXIT_INPUT
+    assert "must be integers" in capsys.readouterr().err
+
 def test_internal_fault_exits_internal_not_verify_failure(tmp_path, capsys, monkeypatch):
     def broken(*_):
         raise RuntimeError("certificate failed re-verification")

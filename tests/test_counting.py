@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -630,7 +631,7 @@ SF_SHAPES = [(q, l, n, d) for q in (4, 5, 7, 8, 9) for l in (1, 2) for n in (1, 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(SF_SHAPES), st.sampled_from(SF_KINDS), st.integers(0, 2 ** 32 - 1))
 def test_count_sf_line_kernel_matches_naive_property(shape, kind, s):
-    """Reaches the interpolation (Q > n + 1), zeros of the interpolated
+    """Reaches the interpolation (Q > n + 2), zeros of the interpolated
     minor, lines of generic rank below n (diagonal m < n, zero, rank one)
     and the lone point e_{n-1}."""
     q, l, n, d = shape
@@ -664,6 +665,137 @@ def test_line_kernel_matches_per_point_oracle():
         for kind, s in [("random", 1), ("random", 2), ("diagonal", n - 1), ("rank-one", 3)]:
             F = sf_test_form(kind, field, d, n, s)
             assert count_SF(F, l) == count_SF_points(F, l), (field, d, n, l, kind)
+
+
+@contextlib.contextmanager
+def line_route(route):
+    """Line kernels built inside take one route at every Q > n + 2: "scan" or "frobenius"."""
+    old = counting._SCAN
+    counting._SCAN = math.inf if route == "scan" else -1
+    counting._line_kernel.cache_clear()
+    try:
+        yield
+    finally:
+        counting._SCAN = old
+        counting._line_kernel.cache_clear()
+
+
+ROUTE_FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 9: make_field(3, 2), 257: make_field(257),
+                1021: make_field(1021)}
+ROUTE_LEVELS = {2: 10, 3: 6, 4: 5, 9: 3, 257: 1, 1021: 1}
+# (q, l, n, d) with Q = q^l up to 2^10, n in {2, 3}, d in {3, 4}, and at most
+# 2^13 projective (d-2)-tuples at level l for the per-point oracle
+ROUTE_SHAPES = [(q, l, n, d) for q, top in ROUTE_LEVELS.items() for l in range(1, top + 1)
+                for n in (2, 3) for d in (3, 4)
+                if ((q ** (l * n) - 1) // (q ** l - 1)) ** (d - 2) <= 1 << 13]
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ROUTE_SHAPES), st.sampled_from(("random", "random", "diagonal", "rank-one")),
+       st.integers(0, 2 ** 32 - 1))
+def test_count_sf_line_routes_match_per_point_property(shape, kind, s):
+    """The default route choice, the scan and the Frobenius gcd at every
+    Q > n + 2, each against one exact rank per slice. F_2 up to l = 10,
+    F_3 up to l = 6, F_4 up to l = 5, F_9 up to l = 3 and the primes 257 and
+    1021 put the default past the crossover for n = 2."""
+    q, l, n, d = shape
+    F = sf_test_form(kind, ROUTE_FIELDS[q], d, n, s)
+    want = count_SF_points(F, l)
+    assert count_SF(F, l) == want
+    for route in ("scan", "frobenius"):
+        with line_route(route):
+            assert count_SF(F, l) == want, route
+
+
+def crafted_pencil(K, n, blocks):
+    """(P, B), flat n x n, with P + tB = (tI - A) (+) I (+) 0 for A block diagonal.
+
+    blocks, in order along the diagonal: ("J", x, k) a k x k Jordan block of
+    eigenvalue x (element index); ("C", f) the companion matrix of the monic
+    t^k + f[k-1] t^(k-1) + ... + f[0]; ("1", k) k rows with P = I and B = 0;
+    ("0", k) k zero rows.
+    """
+    P, B = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    at = 0
+    for kind, *spec in blocks:
+        if kind == "J":
+            x, k = spec
+            for i in range(at, at + k):
+                P[i][i], B[i][i] = K.neg(x), 1
+                if i + 1 < at + k:
+                    P[i][i + 1] = K.neg(1)
+        elif kind == "C":
+            k = len(spec[0])
+            for i, fi in enumerate(spec[0]):
+                P[at + i][at + k - 1] = fi
+                B[at + i][at + i] = 1
+                if i + 1 < k:
+                    P[at + i + 1][at + i] = K.neg(1)
+        else:
+            k = spec[0]
+            if kind == "1":
+                for i in range(at, at + k):
+                    P[i][i] = 1
+        at += k
+    assert at == n
+    return [x for row in P for x in row], [x for row in B for x in row]
+
+
+def rootless(K, k):
+    """The first monic t^k + f[k-1] t^(k-1) + ... + f[0] with no root in F_Q, f[0] running fastest."""
+    for f in map(tuple, map(reversed, itertools.product(range(K.q), repeat=k))):
+        if all(functools.reduce(lambda acc, c: K.add(K.mul(acc, t), c), reversed(f), 1)
+               for t in range(K.q)):
+            return f
+
+
+def crafted_lines(K, n):
+    """Pencils whose minor has double, triple and all-F_Q zeros, zeros at the
+    nodes t = 0..n-1, no zero in F_Q, generic rank below n, det B = 0 at
+    rank n, and minors with m' = 0 in characteristic p <= n."""
+    Q = K.q
+    x, y, z = Q - 1, Q - 2, n + 1  # off the nodes
+    J = [("J", x, 1)]
+    cases = {
+        2: [[("J", x, 2)], J * 2, [("J", 0, 1), ("J", x, 1)], [("J", 1, 2)],
+            [("J", x, 1), ("J", y, 1)], [("C", rootless(K, 2))], J + [("0", 1)],
+            J + [("1", 1)], [("0", 2)]],
+        3: [[("J", x, 2), ("J", y, 1)], J * 3, [("J", x, 3)], [("J", 0, 1), ("J", x, 2)],
+            [("J", x, 1), ("J", y, 1), ("J", z, 1)], [("C", rootless(K, 3))],
+            J * 2 + [("1", 1)], J * 2 + [("0", 1)], J + [("J", 1, 1), ("0", 1)],
+            [("C", rootless(K, 2)), ("0", 1)]],
+        4: [[("J", x, 2), ("J", x, 2)], J * 2 + [("J", y, 2)], [("C", rootless(K, 4))], J * 4,
+            J * 3 + [("1", 1)], J * 2 + [("0", 2)], [("J", 2, 3), ("J", z, 1)]],
+    }
+    return [crafted_pencil(K, n, blocks) for blocks in cases[n]]
+
+
+def per_point_line_sum(K, n, P, B):
+    """Q^(n - rank) summed over e_(n-1) and the points (e_0, t), one exact rank each."""
+    def weight(M):
+        return K.q ** (n - matrix_rank([list(M[i * n:(i + 1) * n]) for i in range(n)], n, K))
+
+    return weight(B) + sum(weight([K.add(a, K.mul(t, b)) for a, b in zip(P, B)])
+                           for t in range(K.q))
+
+
+@pytest.mark.parametrize("p,e,ns", [(2, 4, (2, 3, 4)), (2, 8, (2, 3, 4)), (7, 1, (2, 3, 4)),
+                                    (3, 5, (2, 3, 4)), (1021, 1, (2, 3))])
+def test_line_kernel_routes_on_crafted_lines(p, e, ns):
+    """_line_kernel on single crafted lines, by the default route and by each
+    route forced, against a per-point rank sum: in characteristic 2, in odd
+    characteristic, and with p <= n, where a multiple zero can have m' = 0."""
+    K = kernel(make_field(p, e))
+    for n in ns:
+        head = [(((1,) + (0,) * (n - 2),), 1)]
+        for k, (P, B) in enumerate(crafted_lines(K, n)):
+            G = P + [0] * (n - 2) * n * n + B
+            want = per_point_line_sum(K, n, P, B)
+            assert counting._line_kernel(K, n)(G, head) == want, (n, k)
+            for route in ("scan", "frobenius"):
+                with line_route(route):
+                    assert counting._line_kernel(K, n)(G, head) == want, (n, k, route)
 
 
 def assert_frobenius_orbits(K, n, k, e):

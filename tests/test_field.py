@@ -13,6 +13,9 @@ from multirank.field import (
     FieldElement,
     FieldSpec,
     _is_irreducible,
+    _poly_field_roots,
+    _poly_mul_trunc,
+    _poly_roots,
     embed,
     is_prime,
     kernel,
@@ -354,3 +357,38 @@ def test_embedding_is_ring_hom_on_full_f4():
 def test_is_prime_small():
     primes = [n for n in range(2, 60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def poly_eval(K, f, x):
+    acc = 0
+    for c in reversed(f):
+        acc = K.add(K.mul(acc, x), c)
+    return acc
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 4), (2, 8), (3, 1), (3, 5), (5, 2), (7, 1), (1021, 1)])
+def test_poly_root_helpers_against_evaluation(p, e):
+    """_poly_field_roots is the product of (t - x) over the roots x in F_q of m,
+    found by evaluating m everywhere; _poly_roots splits such a product back
+    into its roots, and refuses a polynomial with no root."""
+    K = kernel(make_field(p, e))
+    rng = SplitMix64(p * 1000 + e)
+    for _ in range(12):
+        deg = 1 + rng.below(4)
+        m = tuple(rng.below(K.q) for _ in range(deg)) + (1 + rng.below(K.q - 1),)
+        roots = [x for x in range(K.q) if not poly_eval(K, m, x)]
+        g = (1,)
+        for x in roots:
+            g = _poly_mul_trunc(g, (K.neg(x), 1), K)
+        assert _poly_field_roots(m, K) == g
+        assert sorted(_poly_roots(g, K)) == roots
+    for k in range(1, min(K.q, 5) + 1):
+        roots = sorted({rng.below(K.q) for _ in range(k)})
+        g = (1,)
+        for x in roots:
+            g = _poly_mul_trunc(g, (K.neg(x), 1), K)
+        assert sorted(_poly_roots(g, K)) == roots
+    rootless = next(f for f in itertools.product(range(K.q), repeat=2)
+                    if all(poly_eval(K, f + (1,), x) for x in range(K.q)))
+    with pytest.raises(ArithmeticError):
+        _poly_roots(rootless + (1,), K)

@@ -379,6 +379,14 @@ def test_homogeneous_form_invariants():
     assert f.coeff_map() == {(2, 0): 3}
 
 
+
+def test_homogeneous_form_rejects_negative_exponents():
+    # (4, -1) sums to d = 3; evaluating it would divide
+    with pytest.raises(ValueError, match="negative"):
+        HomogeneousForm.from_terms(None, 2, 3, {(4, -1): 1})
+    with pytest.raises(ValueError, match="negative"):
+        HomogeneousForm(F5, 2, 3, (((4, -1), 1),))
+
 def test_partial_derivatives():
     # f = x^2 y over F_5: grad = (2xy, x^2)
     f = HomogeneousForm.from_terms(F5, 2, 3, {(2, 1): 1})
