@@ -5,7 +5,8 @@ All numeric output carries exact integer counts (decimal strings)
 alongside the derived floats, so downstream tooling can recompute
 exactly. Exit codes: 0 success, 1 hard verification failure, 2 budget
 exceeded, 3 input or usage error, 4 internal error (a certificate or
-invariant check failed). Output is byte-identical for
+invariant check failed, or an arithmetic fault such as an inversion of
+zero). Output is byte-identical for
 identical (input, config, seed); wall-clock timings only appear under
 --timings.
 """
@@ -296,7 +297,7 @@ def run(config: RunConfig) -> int:
     except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RuntimeError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

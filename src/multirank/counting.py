@@ -2,11 +2,13 @@
 
 All counts are arbitrary-precision integers; no floating point enters
 until rank extraction. Every rank, determinant and kernel over F_q comes
-from one Gaussian elimination without row swaps (_eliminate), which
+from one Gaussian elimination without row swaps (field._eliminate), which
 returns the pivot rows and columns: matrix_rank counts them, the line
-kernel takes its nonzero minor from them, _rank_det multiplies the
+kernel takes its nonzero minor from them, field._rank_det multiplies the
 pivots (cofactors instead for n <= 3), and nullspace_basis solves the
-pivot rows by back substitution.
+pivot rows by back substitution. The line kernel's characteristic
+polynomial route adds one Gauss-Jordan solve per form (field._solve) and
+one Hessenberg reduction per line (field._charpoly).
 
 The primary engine for |S_F| is the rank trick: summing
 Q^(n - rank(slice_matrix)) over (d-2)-tuples instead of scanning all
@@ -14,21 +16,31 @@ Q^(n - rank(slice_matrix)) over (d-2)-tuples instead of scanning all
 slot vector, the enumeration runs over projective representatives and is
 multiplied back by (Q-1)^(d-2); tuples containing a zero vector
 contribute a closed form. The slice ranks are taken one projective line
-at a time: along {(u, t) : t in F_Q} the slice is P + tB. det B, the t^n
-coefficient of every line's det(P + tB), is taken once per form; with
-it, exact ranks at the n nodes t = 0..n-1 fix the line's generic rank r
-and one nonzero r-minor m, a polynomial of degree <= n in t. Off the
-zeros of m the rank is r, and at a simple zero of m = det(P + tB) it is
-n - 1; only the other zeros need another exact rank. Small fields find
-the zeros by evaluating m at every t, large ones from gcd(m, t^Q - t)
-and equal-degree splitting (_line_kernel). For d >= 4 the first d-3
-projective vectors are contracted away first. At level l > 1, F still
-has its coefficients in F_q, so the Frobenius x -> x^q maps each slice
-to one of the same rank: one line is ranked per orbit of the heads u
-(d = 3), and one prefix tuple is contracted per orbit of the diagonal
-action (d >= 4), each weighted by its orbit's size. A literal
-full-enumeration counter is retained solely as a differential-testing
-oracle; the tests also rank every projective slice one at a time.
+at a time: along {(u, t) : t in F_Q} the slice is P + tB, and each
+contracted form takes one of two routes (_line_kernel). When B is
+invertible, or becomes so after a change of basis of the first slot by
+one of the first 2n prime-field points (the sum over projective points
+is GL_n-invariant, and prime-field points are fixed by x -> x^q), the
+pencil is B (tI - N(u)) with N(u) linear in u and solved once per form,
+and each line takes one characteristic polynomial chi(t) =
+det(tI - N(u)) (Hessenberg reduction for n >= 4): the rank is n off the
+zeros of chi and n - 1 at a simple zero. Every other form, and n = 2,
+Q <= 3 and forms with too few lines to pay for the solve, take the node
+route: det B, the t^n coefficient of every line's det(P + tB), is taken
+once per form, and exact ranks at the n nodes t = 0..n-1 fix the line's
+generic rank r and one nonzero r-minor m, a polynomial of degree <= n in
+t; off the zeros of m the rank is r, and at a simple zero of m =
+det(P + tB) it is n - 1. On both routes only the other zeros need another
+exact rank; small fields find the zeros by evaluating the polynomial at
+every t, large ones from gcd(m, t^Q - t) and equal-degree splitting. For
+d >= 4 the first d-3 projective vectors are contracted away first. At
+level l > 1, F still has its coefficients in F_q, so the Frobenius
+x -> x^q maps each slice to one of the same rank: one line is ranked per
+orbit of the heads u (d = 3), and one prefix tuple is contracted per
+orbit of the diagonal action (d >= 4), each weighted by its orbit's
+size. A literal full-enumeration counter is retained solely as a
+differential-testing oracle; the tests also rank every projective slice
+one at a time.
 
 The integer box sieves apply the same idea: enumerate the first d-2
 blocks of the height box, contract each prefix to the n x n system of
@@ -59,105 +71,32 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from typing import Sequence
 
 from .errors import BudgetError
-from .field import (FieldSpec, _poly_add, _poly_divmod, _poly_field_roots, _poly_from_newton, _poly_gcd,
-                    _poly_mul_trunc, _poly_roots, embed, kernel, make_field)
+from .field import (FieldSpec, _charpoly, _eliminate, _poly_add, _poly_divmod, _poly_field_roots,
+                    _poly_from_newton, _poly_gcd, _poly_mul_trunc, _poly_roots, _rank_det, _solve,
+                    _square_rows, embed, kernel, make_field)
 from .tensor import HomogeneousForm, IntMultilinearForm, MultilinearForm, base_change, poly_base_change
 
 DEFAULT_BUDGET_BITS = 28
 BOX_BUDGET_BITS = 34
-# the count_SF line kernel scans F_Q while Q - n <= _SCAN * n * bit_length(Q)
-_SCAN = 6
+# the count_SF line kernel scans F_Q for zeros up to Q = _SCAN[0] over a prime
+# field and _SCAN[1] over an extension, and takes gcd(m, t^Q - t) above
+_SCAN = (165, 125)
+# a count_SF form with n > 2 over Q > 3 takes det(tI - N(u)) on its lines
+# when it has at least n^3 / _CHI of them
+_CHI = 3.4
 
 
 # ---------------------------------------------------------------------------
 # linear algebra over F_q on element indices
 # ---------------------------------------------------------------------------
 
-def _eliminate(rows: list[list[int]], ncols: int, K) -> tuple[list[int], list[int]]:
-    """Gaussian elimination in place, without row swaps.
-
-    A column's pivot is the first row, in the original order, that is not
-    a pivot row yet and is nonzero there; the column is then cleared from
-    the rows that are not pivot rows. Returns the pivot rows (original
-    indices, in pivot order) and their columns. Their number is the rank,
-    the matrix restricted to them is nonsingular, the reduced pivot row
-    prows[k] is zero before column pcols[k], and the other rows end up zero.
-    """
-    mul, sub, inv = K.mul, K.sub, K.inv
-    live = list(range(len(rows)))
-    prows: list[int] = []
-    pcols: list[int] = []
-    for col in range(ncols):
-        for piv in live:
-            if rows[piv][col]:
-                break
-        else:
-            continue
-        live.remove(piv)
-        prow = rows[piv]
-        pinv = inv(prow[col])
-        for r in live:
-            rr = rows[r]
-            v = rr[col]
-            if v:
-                f = mul(v, pinv)
-                for c2 in range(col + 1, ncols):
-                    if prow[c2]:
-                        rr[c2] = sub(rr[c2], mul(f, prow[c2]))
-                rr[col] = 0
-        prows.append(piv)
-        pcols.append(col)
-        if not live:
-            break
-    return prows, pcols
-
-
 def matrix_rank(rows: list[list[int]], ncols: int, K) -> int:
     """Rank over F_q: the number of pivots of _eliminate; rows are mutated."""
     return len(_eliminate(rows, ncols, K)[0])
-
-
-def _rank_det(M: Sequence[int], n: int, K) -> tuple[int, int]:
-    """Rank and determinant of the n x n matrix M, flat in row-major order.
-
-    Cofactors for n <= 3, where the 2 x 2 minors also settle the rank of
-    a singular 3 x 3 matrix. For larger n, _eliminate: the determinant is
-    the product of the pivots, negated when the pivot rows are an odd
-    permutation of 0..n-1.
-    """
-    if n > 3:
-        rows = _square_rows(M, n)
-        prows, pcols = _eliminate(rows, n, K)
-        if len(prows) < n:
-            return len(prows), 0
-        det = functools.reduce(K.mul, [rows[i][c] for i, c in zip(prows, pcols)])
-        odd = sum(a > b for k, a in enumerate(prows) for b in prows[k + 1:]) % 2
-        return n, K.neg(det) if odd else det
-    if n == 0:
-        return 0, 1
-    if n == 1:
-        return (1 if M[0] else 0), M[0]
-    mul, sub, add = K.mul, K.sub, K.add
-    if n == 2:
-        a, b, c, d = M
-        det = sub(mul(a, d), mul(b, c))
-        return (2 if det else 1 if a or b or c or d else 0), det
-    a, b, c, d, e, f, g, h, i = M
-    t1 = sub(mul(e, i), mul(f, h))
-    t2 = sub(mul(d, i), mul(f, g))
-    t3 = sub(mul(d, h), mul(e, g))
-    det = sub(add(mul(a, t1), mul(c, t3)), mul(b, t2))
-    if det:
-        return 3, det
-    if (t1 or t2 or t3 or sub(mul(a, e), mul(b, d)) or sub(mul(a, f), mul(c, d)) or
-            sub(mul(b, f), mul(c, e)) or sub(mul(a, h), mul(b, g)) or
-            sub(mul(a, i), mul(c, g)) or sub(mul(b, i), mul(c, h))):
-        return 2, 0
-    return (1 if any(M) else 0), 0
 
 
 def nullspace_basis(rows: list[list[int]], ncols: int, K) -> list[list[int]]:
@@ -223,8 +162,11 @@ def projective_points(q: int, n: int) -> list[tuple[int, ...]]:
 
     Ascending by pivot, then by the index sum(tail[i] * q^i) of the tail.
     """
-    return [(0,) * i + (1,) + tail[::-1]
-            for i in range(n) for tail in product(range(q), repeat=n - i - 1)]
+    return list(_projective(q, n))
+
+
+def _projective(q: int, n: int):
+    return ((0,) * i + (1,) + tail[::-1] for i in range(n) for tail in product(range(q), repeat=n - i - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +224,6 @@ def count_SF_naive(F: MultilinearForm, l: int = 1,
         if not any(Fl._contract_prefix(vecs)):
             count += 1
     return count
-
-
-def _square_rows(M: Sequence[int], n: int) -> list[list[int]]:
-    return [list(M[i * n:(i + 1) * n]) for i in range(n)]
 
 
 def _orbit_reps(items: Sequence, k: int, gens) -> tuple:
@@ -347,53 +285,116 @@ def _line_kernel(K, n: int):
     coefficients in F_q a line may stand for its Frobenius orbit
     (_orbits); w = 1 over every u gives the plain sum.
 
-    Along a line the slice is P + tB, and each of its minors is a
-    polynomial of degree <= n in t. B = G_(n-1) is the same on every line,
-    so slice_sum takes its rank and determinant once: det B is the t^n
-    coefficient of det(P + tB). Exact ranks at the n nodes t = 0..n-1
-    (element indices) then fix the line's generic rank r: it is n if
-    det B != 0, and otherwise the largest node rank, since a nonzero
-    minor that is not det(P + tB) has degree <= n - 1 and cannot vanish
-    at all n nodes. The node with rank r names a nonzero r-minor m,
-    det(P + tB) when r = n; its values at the nodes give its Newton
-    coefficients c_0..c_(n-1) by divided differences, and c_n = det B (0
-    when r < n). Off the zeros of m the rank is r. At a zero t_0 of
-    det(P + tB) with m'(t_0) != 0 the rank is n - 1: d/dt det(P + tB) =
-    tr(adj(P + tB) B), and the adjugate vanishes where the rank is <= n - 2.
-    So exact ranks are left only at the multiple zeros when r = n, and at
-    every zero when r < n. When Q <= n + 2 every point is ranked instead:
-    one or two exact ranks cost less than the interpolation.
+    Along a line the slice is P + tB; B = G_(n-1) is the same on every
+    line, so slice_sum takes its rank and determinant once, and picks one
+    of two routes per form.
 
-    The zeros off the nodes are found by one of two routes, chosen per
-    (Q, n) by an operation count. The scan evaluates the Newton form at
-    each of the Q - n other t, about (Q - n) n field operations per line,
-    against a Newton basis table built once per kernel; at a zero, Horner's
-    rule gives m'(t) in O(n). The Frobenius route takes g = gcd(m, t^Q - t),
-    with t^Q mod m by repeated squaring, about n^2 log2 Q operations and a
-    gcd: g has the distinct zeros of m in F_Q. The nodes' zeros are divided
-    out; when r = n, deg g - deg gcd(g, m') of the rest are simple (every
-    zero counts as multiple when m' = 0, as can happen when p <= n), and
-    the remaining zeros are found by equal-degree splitting (_poly_roots).
-    The scan is taken while Q - n <= _SCAN n bit_length(Q), _SCAN = 6.
-    Per line on a 2-core host with Python 3.11, random forms, scan against
-    Frobenius: n = 2, Q = 81: 48 / 55 us, Q = 125: 69 / 60 us, Q = 729:
-    571 / 109 us; n = 3, Q = 125: 148 / 170 us, Q = 243: 329 / 108 us;
-    n = 4, Q = 81: 162 / 183 us, Q = 243: 337 / 263 us.
+    The characteristic polynomial route needs B invertible. If B has rank
+    n - 1, the first 2n points v of projective_points(p, n), generated
+    lazily, are tried instead: the first whose slice sum_j v_j G_j is
+    invertible becomes the last basis vector of the first slot (the block
+    at v's leading coordinate is dropped, the later ones move up, and v's
+    slice becomes B). The sum over the projective points does not change
+    under GL_n acting on the first slot, which permutes the projective
+    points and carries each slice along; and v has prime-field
+    coordinates, which x -> x^q fixes, so the Frobenius orbits of the heads
+    and their weights stay valid. With N_j = -B^-1 G_j, solved once per
+    form (_solve), P + tB = B (tI - N(u)) for N(u) = sum_j u_j N_j, so
+    det(P + tB) = det B chi(t) with chi(t) = det(tI - N(u)) (_charpoly:
+    closed form for n <= 3, Hessenberg reduction and its recurrence
+    above). A line costs N(u), chi and the zeros of chi in F_Q: off them
+    the rank is n, at a simple zero n - 1, and only a multiple zero takes
+    an exact rank, of N(u) - tI.
+
+    The node route takes every other form. det B is the t^n coefficient of
+    det(P + tB); exact ranks at the n nodes t = 0..n-1 (element indices)
+    fix the line's generic rank r: it is n if det B != 0, and otherwise the
+    largest node rank, since a nonzero minor that is not det(P + tB) has
+    degree <= n - 1 and cannot vanish at all n nodes. The node with rank r
+    names a nonzero r-minor m, det(P + tB) when r = n; its values at the
+    nodes give its Newton coefficients c_0..c_(n-1) by divided
+    differences, and c_n = det B (0 when r < n). Off the zeros of m the
+    rank is r. At a zero t_0 of det(P + tB) with m'(t_0) != 0 the rank is
+    n - 1: d/dt det(P + tB) = tr(adj(P + tB) B), and the adjugate vanishes
+    where the rank is <= n - 2. So exact ranks are left only at the
+    multiple zeros when r = n, and at every zero when r < n. When
+    Q <= n + 2 every point is ranked instead: one or two exact ranks cost
+    less than the interpolation.
+
+    A form takes the characteristic polynomial route when n > 2, Q > 3,
+    rank B >= n - 1 and it has at least n^3 / _CHI lines, _CHI = 3.4: the
+    solve (and the candidates) cost a few lines' worth per form, and at
+    n = 2 or Q <= 3 a chi line is slower than a node line. A B of lower
+    rank keeps the node route without trying any candidate: det(P + tB)
+    then has degree <= rank B, so the node route's Newton form is short,
+    while chi has degree n (diag(3, 3, 3) over F_2, whose slice at (1, 1, 1)
+    is I, ran 0.70-0.77x on the chi route). Diagonal forms, rank-one forms
+    and the zero form keep the node route so. Per call, warm, random forms,
+    node / chi route forced, on a 2-core host with Python 3.11: n = 3 at
+    Q = 7 (8 lines) 0.143 / 0.122 ms, F_2 at l = 4 (Q = 16, 7 lines)
+    0.146 / 0.155 ms, F_4 at l = 2 (Q = 16, 11 lines) 0.253 / 0.198 ms;
+    n = 4 at Q = 3 (13 lines) 0.317 / 0.384 ms, F_2 at l = 2 (Q = 4, 14
+    lines) 0.442 / 0.506 ms, F_4 (21 lines) 0.693 / 0.643 ms, F_5 (31
+    lines) 1.29 / 0.955 ms.
+
+    Both routes share one zero-finding tail (zeros), for the Newton form
+    over the nodes or for chi in the monomial basis. The scan evaluates
+    the polynomial at every t off the nodes (at every t for chi) against a
+    basis table built once per kernel; at a zero, Horner's rule gives the
+    derivative in O(n). The Frobenius route takes g = gcd(m, t^Q - t), with
+    t^Q mod m by repeated squaring: g has the distinct zeros of m in F_Q.
+    The nodes' zeros are divided out; when r = n, deg g - deg gcd(g, m') of
+    the rest are simple (every zero counts as multiple when m' = 0, as can
+    happen when p <= n), and the remaining zeros are found by equal-degree
+    splitting (_poly_roots). The scan is taken up to Q = _SCAN[0] = 165
+    over a prime field and Q = _SCAN[1] = 125 over an extension. The
+    crossover hardly moves with n; it moves with the cost of an addition,
+    which every scanned point pays about n times (integer arithmetic mod p
+    in a prime field, XOR or Zech logarithms in an extension), and with
+    the cost of a square, which the gcd route pays about log2 Q times (n
+    products in characteristic 2, about n^2 / 2 otherwise): odd extensions
+    cross near Q = 125 and characteristic 2 between 64 and 128, which one
+    cut at 125 separates. Per line, scan / Frobenius in us, random forms,
+    same host: prime fields, n = 3: Q = 131 43 / 51, 149 48 / 53, 163
+    54 / 55, 181 59 / 58, 199 63 / 58; n = 2 (node route): Q = 149 48 / 54,
+    181 58 / 57, 199 64 / 56; extensions, n = 3: Q = 81 44 / 54, 121
+    63 / 63, 125 61 / 65, 128 40 / 34, 169 86 / 67; n = 4: Q = 81 96 / 112,
+    125 117 / 116, 128 82 / 74, 169 150 / 119.
     """
     Q, nn = K.q, n * n
     add, mul, sub = K.add, K.mul, K.sub
     weight = [Q ** (n - r) for r in range(n + 1)]
     # up to two points off the nodes cost less ranked than interpolated
     nodes, rest = (range(Q), ()) if Q <= n + 2 else (range(n), range(n, Q))
-    scan = len(rest) <= _SCAN * n * Q.bit_length()
+    scan = Q <= _SCAN[K.e > 1]
+    chi = n > 2 and Q > 3
     # 1/(x_i - x_{i-k}) for the divided differences over the nodes
     inv_diff = [[K.inv(sub(i, i - k)) if i >= k else 0 for i in nodes] for k in range(1, n)]
-    if rest and scan:
-        # the Newton basis prod_{i<k} (t - x_i), k = 1..n, at every t off the nodes
-        basis, b = [], [1] * len(rest)
-        for i in nodes:
-            b = [mul(x, sub(t, i)) for x, t in zip(b, rest)]
-            basis.append(b)
+    # the monomials are the Newton basis over n nodes at 0
+    monomial, minus_eye = [0] * n, [K.neg(1) if i % (n + 1) == 0 else 0 for i in range(nn)]
+
+    def table(xs: Sequence[int], pts: Sequence[int]) -> list[list[int]]:
+        """The basis prod_{i<k} (t - xs[i]), k = 1..n, at every t in pts."""
+        out, b = [], [1] * len(pts)
+        for x in xs:
+            b = [mul(y, sub(t, x)) for y, t in zip(b, pts)]
+            out.append(b)
+        return out
+
+    if scan:
+        newton, powers = table(nodes, rest), chi and table(monomial, range(Q))
+
+    def combine(u: Sequence[int], mats) -> list[int]:
+        """sum_j u_j mats[j] for a projective point u, whose first nonzero entry is 1."""
+        P = None
+        for x, bj in zip(u, mats):
+            if x and P is None:
+                P = list(bj)
+            elif x:
+                for i in range(nn):
+                    if bj[i]:
+                        P[i] = add(P[i], bj[i] if x == 1 else mul(x, bj[i]))
+        return P
 
     def pencil(P: Sequence[int], B: Sequence[int], t: int) -> Sequence[int]:
         if not t:
@@ -405,14 +406,49 @@ def _line_kernel(K, n: int):
             return matrix_rank(_square_rows(M, n), n, K)
         return _rank_det(M, n, K)[0]
 
-    def slope(c: list[int], t: int) -> int:
-        """The derivative at t of the Newton form, by Horner's rule."""
+    def slope(c: list[int], xs: Sequence[int], t: int) -> int:
+        """The derivative at t of the Newton form over xs, by Horner's rule."""
         v, dv = c[n], 0
         for k in range(n - 1, -1, -1):
-            x = sub(t, k)
+            x = sub(t, xs[k])
             dv = add(mul(dv, x), v)
             v = add(mul(v, x), c[k])
         return dv
+
+    def zeros(c: list[int], newton_form: bool, r: int, P, B, skip=()) -> int:
+        """Sum of weight[rank(P + tB)] - weight[r] over the zeros of m in F_Q off the nodes.
+
+        c holds m in the Newton basis over the nodes (node route; skip lists
+        the nodes that are zeros) or in the monomial basis (chi route, no
+        nodes); r = n when m is det(P + tB) up to a nonzero factor.
+        """
+        s, xs = 0, nodes if newton_form else monomial
+        if scan:
+            pts, basis = (rest, newton) if newton_form else (range(Q), powers)
+            # m(t) = 0 where the terms past c_0 add up to -c_0
+            values, zero_at = None, K.neg(c[0])
+            for ck, bk in zip(c[1:], basis):
+                if ck:
+                    term = bk if ck == 1 else map(mul, repeat(ck), bk)
+                    values = term if values is None else map(add, values, term)
+            for t, v in zip(pts, values or repeat(0)):
+                if v == zero_at:
+                    s += (weight[n - 1] if r == n and slope(c, xs, t) else
+                          weight[rank(pencil(P, B, t))]) - weight[r]
+            return s
+        m = _poly_from_newton(c, K) if newton_form else c
+        if len(m) < 2:
+            return s
+        g = _poly_field_roots(m, K)
+        for t in skip:
+            g = _poly_divmod(g, (K.neg(t), 1), K)[0]
+        if r == n:
+            h = _poly_gcd(g, [mul(i % K.p, a) for i, a in enumerate(m)][1:], K)
+            s += (len(g) - len(h)) * (weight[n - 1] - weight[n])
+            g = h
+        for t in _poly_roots(g, K):
+            s += weight[rank(pencil(P, B, t))] - weight[r]
+        return s
 
     def line(P: Sequence[int], B: Sequence[int], det_B: int) -> int:
         Ms = [pencil(P, B, t) for t in nodes]
@@ -432,43 +468,34 @@ def _line_kernel(K, n: int):
             for i in range(n - 1, k - 1, -1):
                 c[i] = mul(sub(c[i], c[i - 1]), inv_k[i])
         c.append(det_B)
-        if scan:
-            values = repeat(c[0], len(rest))
-            for ck, bk in zip(c[1:], basis):
-                if ck:
-                    values = map(add, values, map(mul, repeat(ck), bk))
-            for t, v in zip(rest, values):
-                if not v:
-                    s += (weight[n - 1] if r == n and slope(c, t) else
-                          weight[rank(pencil(P, B, t))]) - weight[r]
-            return s
-        m = _poly_from_newton(c, K)
-        if len(m) < 2:
-            return s
-        g = _poly_field_roots(m, K)
-        for t in node_zeros:
-            g = _poly_divmod(g, (K.neg(t), 1), K)[0]
-        if r == n:
-            h = _poly_gcd(g, [mul(i % K.p, a) for i, a in enumerate(m)][1:], K)
-            s += (len(g) - len(h)) * (weight[n - 1] - weight[n])
-            g = h
-        for t in _poly_roots(g, K):
-            s += weight[rank(pencil(P, B, t))] - weight[r]
-        return s
+        return s + zeros(c, True, r, P, B, node_zeros)
 
     def slice_sum(G: Sequence[int], heads) -> int:
         blocks = [G[j * nn:(j + 1) * nn] for j in range(n)]
         B = blocks[n - 1]
         rank_B, det_B = _rank_det(B, n, K)
-        total = weight[rank_B]
+        X = None
+        if chi and rank_B >= n - 1 and len(heads) * _CHI >= n ** 3:
+            # B, or a slice at a prime-field point v made the last basis vector
+            negated = [[K.neg(x) for x in b] for b in blocks]
+            for v in [(0,) * (n - 1) + (1,)] if det_B else islice(_projective(K.p, n), 2 * n):
+                k = v.index(1)
+                others = negated[:k] + negated[k + 1:]
+                X = _solve(combine(v, blocks), [[x for b in others for x in b[i * n:(i + 1) * n]]
+                                                for i in range(n)], n, K)
+                if X:
+                    break
+        if not X:
+            total = weight[rank_B]
+            for (u,), w in heads:
+                total += w * line(combine(u, blocks), B, det_B)
+            return total
+        # X holds B^-1 (-G_j) side by side, for the blocks G_j other than B
+        Ns = [[x for row in X for x in row[j * n:(j + 1) * n]] for j in range(n - 1)]
+        total = weight[n]
         for (u,), w in heads:
-            P = [0] * nn
-            for x, bj in zip(u, blocks):
-                if x:
-                    for k in range(nn):
-                        if bj[k]:
-                            P[k] = add(P[k], bj[k] if x == 1 else mul(x, bj[k]))
-            total += w * line(P, B, det_B)
+            N = combine(u, Ns)
+            total += w * (weight[n] * Q + zeros(_charpoly(N, n, K), False, n, N, minus_eye))
         return total
 
     return slice_sum

@@ -20,7 +20,10 @@ Above 2^16, odd-characteristic arithmetic works digit by digit.
 Polynomials over F_q are coefficient tuples of element indices, constant
 term first. The _poly_* helpers that take a kernel (product, remainder,
 gcd, power mod m, roots) serve Rabin's irreducibility test over F_p, the
-F_q[t] counters and the root finding of count_SF's line kernel.
+F_q[t] counters and the root finding of count_SF's line kernel. The
+matrix helpers beside them (elimination, rank and determinant, a
+Gauss-Jordan solve, the characteristic polynomial by Hessenberg
+reduction) work on element indices the same way.
 
 Embeddings between F_{p^e} and F_{p^{e*l}} are found by exhaustive root
 search of the source modulus in the target, taking the least root, and are
@@ -248,6 +251,172 @@ def _poly_roots(h: Sequence[int], K, start: int = 0) -> list[int]:
         if 1 < len(g) < len(h):
             return _poly_roots(g, K, c + 1) + _poly_roots(_poly_divmod(h, g, K)[0], K, c + 1)
     raise ArithmeticError("polynomial is not a product of distinct linear factors")
+
+
+# The matrix helpers work on element indices through a kernel too; a matrix
+# is a list of rows, or flat in row-major order with its size n.
+
+def _square_rows(M: Sequence[int], n: int) -> list[list[int]]:
+    return [list(M[i * n:(i + 1) * n]) for i in range(n)]
+
+
+def _eliminate(rows: list[list[int]], ncols: int, K) -> tuple[list[int], list[int]]:
+    """Gaussian elimination in place, without row swaps.
+
+    A column's pivot is the first row, in the original order, that is not
+    a pivot row yet and is nonzero there; the column is then cleared from
+    the rows that are not pivot rows. Returns the pivot rows (original
+    indices, in pivot order) and their columns. Their number is the rank,
+    the matrix restricted to them is nonsingular, the reduced pivot row
+    prows[k] is zero before column pcols[k], and the other rows end up zero.
+    """
+    mul, sub, inv = K.mul, K.sub, K.inv
+    live = list(range(len(rows)))
+    prows: list[int] = []
+    pcols: list[int] = []
+    for col in range(ncols):
+        for piv in live:
+            if rows[piv][col]:
+                break
+        else:
+            continue
+        live.remove(piv)
+        prow = rows[piv]
+        pinv = inv(prow[col])
+        for r in live:
+            rr = rows[r]
+            v = rr[col]
+            if v:
+                f = mul(v, pinv)
+                for c2 in range(col + 1, ncols):
+                    if prow[c2]:
+                        rr[c2] = sub(rr[c2], mul(f, prow[c2]))
+                rr[col] = 0
+        prows.append(piv)
+        pcols.append(col)
+        if not live:
+            break
+    return prows, pcols
+
+
+def _rank_det(M: Sequence[int], n: int, K) -> tuple[int, int]:
+    """Rank and determinant of the n x n matrix M, flat in row-major order.
+
+    Cofactors for n <= 3, where the 2 x 2 minors also settle the rank of
+    a singular 3 x 3 matrix. For larger n, _eliminate: the determinant is
+    the product of the pivots, negated when the pivot rows are an odd
+    permutation of 0..n-1.
+    """
+    if n > 3:
+        rows = _square_rows(M, n)
+        prows, pcols = _eliminate(rows, n, K)
+        if len(prows) < n:
+            return len(prows), 0
+        det = functools.reduce(K.mul, [rows[i][c] for i, c in zip(prows, pcols)])
+        odd = sum(a > b for k, a in enumerate(prows) for b in prows[k + 1:]) % 2
+        return n, K.neg(det) if odd else det
+    if n == 0:
+        return 0, 1
+    if n == 1:
+        return (1 if M[0] else 0), M[0]
+    mul, sub, add = K.mul, K.sub, K.add
+    if n == 2:
+        a, b, c, d = M
+        det = sub(mul(a, d), mul(b, c))
+        return (2 if det else 1 if a or b or c or d else 0), det
+    a, b, c, d, e, f, g, h, i = M
+    t1 = sub(mul(e, i), mul(f, h))
+    t2 = sub(mul(d, i), mul(f, g))
+    t3 = sub(mul(d, h), mul(e, g))
+    det = sub(add(mul(a, t1), mul(c, t3)), mul(b, t2))
+    if det:
+        return 3, det
+    if (t1 or t2 or t3 or sub(mul(a, e), mul(b, d)) or sub(mul(a, f), mul(c, d)) or
+            sub(mul(b, f), mul(c, e)) or sub(mul(a, h), mul(b, g)) or
+            sub(mul(a, i), mul(c, g)) or sub(mul(b, i), mul(c, h))):
+        return 2, 0
+    return (1 if any(M) else 0), 0
+
+
+def _solve(A: Sequence[int], R: Sequence[Sequence[int]], n: int, K) -> list[list[int]] | None:
+    """The rows of X with A X = R, for the flat n x n matrix A and the n rows of R; None if A is singular.
+
+    Gauss-Jordan, swapping in the first row with a nonzero pivot; a column
+    is dropped once it is cleared, so the rows end up holding X alone.
+    """
+    mul, sub = K.mul, K.sub
+    rows = [list(A[i * n:(i + 1) * n]) + list(r) for i, r in enumerate(R)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][0]), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        f = K.inv(rows[c][0])
+        pr = [mul(f, x) for x in rows[c][1:]]
+        rows = [pr if i == c else [sub(x, mul(row[0], y)) for x, y in zip(row[1:], pr)] if row[0] else row[1:]
+                for i, row in enumerate(rows)]
+    return rows
+
+
+def _charpoly(M: Sequence[int], n: int, K) -> list[int]:
+    """det(tI - M) for the flat n x n matrix M: n + 1 coefficients, constant first.
+
+    n <= 3 in closed form from the trace, the principal 2 x 2 minors and
+    the determinant. Larger n reduce M to upper Hessenberg form H by
+    similarity (Cohen, GTM 138, Alg. 2.2.9): for m = 1..n-2, a row with a
+    nonzero entry in column m-1, at or below row m, is swapped into row m
+    (and its column with column m); then row i -= u row m clears H[i][m-1]
+    for i > m, and column m += u column i keeps the similarity. The
+    leading k x k blocks of H have the characteristic polynomials p_0 = 1,
+    p_(m+1) = (t - h_mm) p_m - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_i.
+    """
+    add, sub, mul, neg = K.add, K.sub, K.mul, K.neg
+    if n < 4:
+        if n < 2:
+            return [neg(M[0]), 1] if n else [1]
+        if n == 2:
+            a, b, c, d = M
+            return [sub(mul(a, d), mul(b, c)), neg(add(a, d)), 1]
+        a, b, c, d, e, f, g, h, i = M
+        t1 = sub(mul(e, i), mul(f, h))
+        det = add(sub(mul(a, t1), mul(b, sub(mul(d, i), mul(f, g)))), mul(c, sub(mul(d, h), mul(e, g))))
+        minors = add(add(sub(mul(a, e), mul(b, d)), sub(mul(a, i), mul(c, g))), t1)
+        return [neg(det), minors, neg(add(add(a, e), i)), 1]
+    H = _square_rows(M, n)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[piv], H[m] = H[m], H[piv]
+            for row in H:
+                row[piv], row[m] = row[m], row[piv]
+        hm, pinv = H[m], K.inv(H[m][m - 1])
+        for i in range(m + 1, n):
+            u = H[i][m - 1]
+            if u:
+                u = mul(u, pinv)
+                H[i] = [sub(x, mul(u, y)) if y else x for x, y in zip(H[i], hm)]
+                for row in H:
+                    if row[i]:
+                        row[m] = add(row[m], mul(u, row[i]))
+    p = [[1]]
+    for m in range(n):
+        pm, h = p[m], H[m][m]
+        new = [0] + pm
+        for k, x in enumerate(pm):
+            new[k] = sub(new[k], mul(h, x))
+        prod = 1
+        for i in range(m - 1, -1, -1):
+            prod = mul(prod, H[i + 1][i])
+            if not prod:
+                break
+            f = mul(H[i][m], prod)
+            if f:
+                for k, x in enumerate(p[i]):
+                    new[k] = sub(new[k], mul(f, x))
+        p.append(new)
+    return p[n]
 
 
 def _is_irreducible(modulus: Sequence[int], p: int) -> bool:

@@ -331,6 +331,17 @@ def test_internal_fault_exits_internal_not_verify_failure(tmp_path, capsys, monk
     assert "internal error: certificate failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault", [ZeroDivisionError("inversion of zero"),
+                                   ArithmeticError("polynomial is not a product of distinct linear factors")])
+def test_arithmetic_fault_exits_internal_not_verify_failure(tmp_path, capsys, monkeypatch, fault):
+    def broken(*_):
+        raise fault
+
+    monkeypatch.setattr("multirank.cli.count_SF", broken)
+    assert main(["count", "--tensor", write_diag(tmp_path), "--lmax", "1"]) == EXIT_INTERNAL
+    assert f"internal error: {fault}" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_input_not_budget(capsys):
     assert main(["rank"]) == EXIT_INPUT  # --tensor missing
     assert main(["count", "--tensor", "x.json", "--lmax", "two"]) == EXIT_INPUT

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from multirank import counting
 from multirank.errors import BudgetError
-from multirank.field import kernel, make_field
+from multirank.field import embed, kernel, make_field
 from multirank.counting import (
     BoxSpec,
     CountProfile,
@@ -668,16 +668,25 @@ def test_line_kernel_matches_per_point_oracle():
 
 
 @contextlib.contextmanager
-def line_route(route):
-    """Line kernels built inside take one route at every Q > n + 2: "scan" or "frobenius"."""
-    old = counting._SCAN
-    counting._SCAN = math.inf if route == "scan" else -1
+def line_route(tail=None, chi=None):
+    """Line kernels built inside find zeros by tail, "scan" or "frobenius", at
+    every Q > n + 2; chi = True sends every form with n > 2, Q > 3 and
+    rank B >= n - 1 to the characteristic polynomial route, whatever its
+    number of lines, and chi = False keeps every form on the node route."""
+    old = counting._SCAN, counting._CHI
+    if tail:
+        counting._SCAN = (math.inf if tail == "scan" else -1,) * 2
+    if chi is not None:
+        counting._CHI = math.inf if chi else 0
     counting._line_kernel.cache_clear()
     try:
         yield
     finally:
-        counting._SCAN = old
+        counting._SCAN, counting._CHI = old
         counting._line_kernel.cache_clear()
+
+
+LINE_ROUTES = [(tail, chi) for tail in ("scan", "frobenius") for chi in (False, True)]
 
 
 ROUTE_FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 9: make_field(3, 2), 257: make_field(257),
@@ -695,16 +704,17 @@ ROUTE_SHAPES = [(q, l, n, d) for q, top in ROUTE_LEVELS.items() for l in range(1
 @given(st.sampled_from(ROUTE_SHAPES), st.sampled_from(("random", "random", "diagonal", "rank-one")),
        st.integers(0, 2 ** 32 - 1))
 def test_count_sf_line_routes_match_per_point_property(shape, kind, s):
-    """The default route choice, the scan and the Frobenius gcd at every
-    Q > n + 2, each against one exact rank per slice. F_2 up to l = 10,
+    """The default route choice, and the scan and the Frobenius gcd at every
+    Q > n + 2 on the node route and on the characteristic polynomial route,
+    each against one exact rank per slice. F_2 up to l = 10,
     F_3 up to l = 6, F_4 up to l = 5, F_9 up to l = 3 and the primes 257 and
     1021 put the default past the crossover for n = 2."""
     q, l, n, d = shape
     F = sf_test_form(kind, ROUTE_FIELDS[q], d, n, s)
     want = count_SF_points(F, l)
     assert count_SF(F, l) == want
-    for route in ("scan", "frobenius"):
-        with line_route(route):
+    for route in LINE_ROUTES:
+        with line_route(*route):
             assert count_SF(F, l) == want, route
 
 
@@ -785,7 +795,10 @@ def per_point_line_sum(K, n, P, B):
 def test_line_kernel_routes_on_crafted_lines(p, e, ns):
     """_line_kernel on single crafted lines, by the default route and by each
     route forced, against a per-point rank sum: in characteristic 2, in odd
-    characteristic, and with p <= n, where a multiple zero can have m' = 0."""
+    characteristic, and with p <= n, where a multiple zero can have m' = 0.
+    One line is too few for the default to take the characteristic
+    polynomial route; a line with det B = 0 is not forced onto it, since
+    its change of basis replaces the line by another."""
     K = kernel(make_field(p, e))
     for n in ns:
         head = [(((1,) + (0,) * (n - 2),), 1)]
@@ -793,9 +806,220 @@ def test_line_kernel_routes_on_crafted_lines(p, e, ns):
             G = P + [0] * (n - 2) * n * n + B
             want = per_point_line_sum(K, n, P, B)
             assert counting._line_kernel(K, n)(G, head) == want, (n, k)
-            for route in ("scan", "frobenius"):
-                with line_route(route):
-                    assert counting._line_kernel(K, n)(G, head) == want, (n, k, route)
+            for tail, chi in LINE_ROUTES:
+                if chi and counting._rank_det(B, n, K)[0] < n:
+                    continue
+                with line_route(tail, chi):
+                    assert counting._line_kernel(K, n)(G, head) == want, (n, k, tail, chi)
+
+
+def embedded(K, n):
+    """The kernel of the least extension of K's field with more than n
+    elements, and the embedding's map on element indices."""
+    k = 1
+    while K.q ** k <= n:
+        k += 1
+    emb = embed(K.spec, make_field(K.p, K.e * k))
+    return kernel(emb.target), emb.apply_index
+
+
+def charpoly_cases(K, n, rnd):
+    """Flat n x n matrices: random, upper Hessenberg, diagonal with a repeated
+    entry, strictly lower triangular (nilpotent), and for m = 1..n-2 one whose
+    Hessenberg step m must swap the last row in."""
+    def entry():
+        return rnd.randrange(K.q)
+
+    def hessenberg():
+        return [entry() if j >= i - 1 else 0 for i in range(n) for j in range(n)]
+
+    diag = [entry() for _ in range(n)]
+    diag[-1] = diag[0]
+    cases = [[entry() for _ in range(n * n)], hessenberg(),
+             [diag[i] if i == j else 0 for i in range(n) for j in range(n)],
+             [entry() if j < i else 0 for i in range(n) for j in range(n)]]
+    for m in range(1, n - 1):
+        M = hessenberg()
+        M[m * n + m - 1] = 0
+        M[(n - 1) * n + m - 1] = rnd.randrange(1, K.q)
+        cases.append(M)
+    return cases
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (3, 3)])
+def test_charpoly_and_solve_against_leibniz(p, e):
+    """_charpoly(M) against det(tI - M) at n + 1 points, taken in an extension
+    with that many elements, for n <= 5; _solve(A, R) solves A X = R, or
+    returns None exactly when A is singular."""
+    K = kernel(make_field(p, e))
+    rnd = random.Random(100 * p + e)
+    for n in range(1, 6):
+        L, up = embedded(K, n)
+        for M in charpoly_cases(K, n, rnd):
+            c = [up(x) for x in counting._charpoly(M, n, K)]
+            assert len(c) == n + 1 and c[-1] == 1, (n, M)
+            for t in range(n + 1):
+                tI_M = [L.sub(t if i == j else 0, up(M[i * n + j])) for i in range(n) for j in range(n)]
+                value = functools.reduce(lambda acc, ck: L.add(L.mul(acc, t), ck), reversed(c), 0)
+                assert value == leibniz_det(tI_M, n, L), (n, M, t)
+            R = [[rnd.randrange(K.q) for _ in range(2)] for _ in range(n)]
+            X = counting._solve(M, R, n, K)
+            if not leibniz_det(M, n, K):
+                assert X is None, (n, M)
+                continue
+            assert [[functools.reduce(K.add, [K.mul(M[i * n + k], X[k][j]) for k in range(n)])
+                     for j in range(2)] for i in range(n)] == R, (n, M)
+
+
+def form_of_blocks(field, blocks):
+    """The d = 3 form whose slice at e_j is blocks[j], each flat n x n."""
+    return MultilinearForm(field, 3, round(len(blocks[0]) ** 0.5), tuple(x for b in blocks for x in b))
+
+
+def candidate_slices(F):
+    """The slices at the first 2n points of projective_points(p, n) in slot 0 (d = 3)."""
+    K, n = kernel(F.field), F.n
+    return [F._contract_prefix([v]) for v in projective_points(K.p, n)[:2 * n]]
+
+
+def singular_last_block(field, d, n, s):
+    """A random form with F(.., e_(n-1), .., e_(n-1)) = 0 in slots d-3 and d-1:
+    every contracted form's last block has a zero last column."""
+    F = random_form(field, d, n, s)
+    return MultilinearForm(field, d, n, tuple(
+        0 if idx[-3] == idx[-1] == n - 1 else c
+        for idx, c in zip(itertools.product(range(n), repeat=d), F.coeffs)))
+
+
+def no_candidate_form(field, n, s):
+    """Upper triangular slices whose diagonal, linear in x, vanishes at the
+    first 2n prime-field points and not at some point of F_(p^2) (x_(n-1) is
+    not on it); the last block is strictly upper triangular of rank n - 1."""
+    K, rnd = kernel(field), random.Random(s)
+    # (x_0, x_1, x_0 + x_1, x_0 + x_2) over F_2, (x_1, x_1 - x_0, x_1 + x_0) over F_3
+    diag = {2: [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)],
+            3: [(0, 1, 0), (K.neg(1), 1, 0), (1, 1, 0)]}[field.p][:n]
+    blocks = [[diag[a][j] if a == b else rnd.randrange(K.q) if a < b else 0
+               for a in range(n) for b in range(n)] for j in range(n)]
+    for a in range(n - 1):
+        blocks[n - 1][a * n + a + 1] = 1
+    return form_of_blocks(field, blocks)
+
+
+def pencil_form(field, n, P, B, s):
+    """blocks P, random ones, then B (d = 3)."""
+    rnd = random.Random(s)
+    return form_of_blocks(field, [P] + [[rnd.randrange(field.q) for _ in range(n * n)]
+                                        for _ in range(n - 2)] + [B])
+
+
+def eigen_form(field, n, eigen, s):
+    """B = I and P = -diag(eigen): on the line through e_0 the slice is tI - diag(eigen)."""
+    K = kernel(field)
+    P = [K.neg(eigen[i]) if i == j else 0 for i in range(n) for j in range(n)]
+    return pencil_form(field, n, P, [int(i == j) for i in range(n) for j in range(n)], s)
+
+
+def flat_derivative_form(field, n, s):
+    """B = I and P = -(companion of t^n - 1) with p | n: chi'(t) = 0 on the line through e_0,
+    and on the line through e_1 the slice is tI - I, of rank 0 at t = 1."""
+    K = kernel(field)
+    P = [0] * (n * n)
+    for i in range(n - 1):
+        P[(i + 1) * n + i] = K.neg(1)
+    P[n - 1] = K.neg(1)
+    eye = [int(i == j) for i in range(n) for j in range(n)]
+    blocks = [P, [K.neg(x) for x in eye]] + [[0] * (n * n)] * (n - 3) + [eye]
+    return form_of_blocks(field, blocks)
+
+
+F7, F9 = make_field(7, 1), make_field(3, 2)
+# (name, form, levels): every form is counted by each route
+CRAFTED_SF = [
+    ("singular B, d = 3, F_2 n = 3", singular_last_block(F2, 3, 3, 1), (2, 3, 4)),
+    ("singular B, d = 3, F_3 n = 3", singular_last_block(F3, 3, 3, 2), (2,)),
+    ("singular B, d = 3, F_2 n = 4", singular_last_block(F2, 3, 4, 3), (2, 3)),
+    ("singular B, d = 4, F_2 n = 3", singular_last_block(F2, 4, 3, 4), (2,)),
+    ("singular B, d = 4, F_5 n = 3", singular_last_block(F5, 4, 3, 5), (1,)),
+    ("no candidate, F_2 n = 3", no_candidate_form(F2, 3, 6), (1, 2, 4)),
+    ("no candidate, F_2 n = 4", no_candidate_form(F2, 4, 7), (2, 3)),
+    ("no candidate, F_3 n = 3", no_candidate_form(F3, 3, 8), (2,)),
+    ("eigenspace of dimension 2, F_7 n = 3", eigen_form(F7, 3, (2, 2, 5), 9), (1,)),
+    ("eigenspace of dimension 2, F_5 n = 4", eigen_form(F5, 4, (3, 3, 1, 0), 10), (1, 2)),
+    ("eigenspace of dimension 2, F_9 n = 3", eigen_form(F9, 3, (4, 4, 7), 11), (1,)),
+    ("chi' = 0, F_3 n = 3", flat_derivative_form(F3, 3, 12), (2, 3)),
+    ("chi' = 0, F_2 n = 4", flat_derivative_form(F2, 4, 13), (2, 3)),
+]
+
+
+@pytest.mark.parametrize("name,F,levels", CRAFTED_SF, ids=[c[0] for c in CRAFTED_SF])
+def test_count_sf_routes_on_crafted_forms(name, F, levels):
+    """count_SF on crafted forms, by the default route and by each route and
+    tail forced, against one exact rank per slice. A singular last block of
+    rank n - 1 takes a prime-field change of basis (at d = 3 and l >= 2 the
+    Frobenius weights must survive it); a form whose candidate slices are all
+    singular keeps the node route, although points of F_(p^2) have invertible
+    slices; a double eigenvalue with a 2-dimensional eigenspace has rank
+    n - 2; and with p <= n the characteristic polynomial can have chi' = 0."""
+    K, n = kernel(F.field), F.n
+    if name.startswith("singular B"):  # the premises, at d = 3
+        G = F if F.d == 3 else MultilinearForm(F.field, 3, n, F._contract_prefix([(1,) + (0,) * (n - 1)]))
+        assert counting._rank_det(G._contract_prefix([(0,) * (n - 1) + (1,)]), n, K)[0] == n - 1
+        assert any(counting._rank_det(S, n, K)[0] == n for S in candidate_slices(G))
+    if name.startswith("no candidate"):
+        assert counting._rank_det(F._contract_prefix([(0,) * (n - 1) + (1,)]), n, K)[0] == n - 1
+        assert not any(counting._rank_det(S, n, K)[0] == n for S in candidate_slices(F))
+    for l in levels:
+        want = count_SF_points(F, l)
+        assert count_SF(F, l) == want, l
+        for route in LINE_ROUTES:
+            with line_route(*route):
+                assert count_SF(F, l) == want, (l, route)
+
+
+def transformed(F, mats, perm):
+    """F(A_1 x_1, ..., A_d x_d) with the first d - 1 slots then permuted by perm."""
+    K, n, d = kernel(F.field), F.n, F.d
+    coeffs = list(F.coeffs)
+    for k, A in enumerate(mats):
+        stride = n ** (d - 1 - k)
+        coeffs = [functools.reduce(K.add, [K.mul(coeffs[i - (i // stride % n - j) * stride], A[j][i // stride % n])
+                                           for j in range(n)]) for i in range(len(coeffs))]
+    index = list(itertools.product(range(n), repeat=d))
+    place = {idx: i for i, idx in enumerate(index)}
+    return MultilinearForm(F.field, d, n, tuple(
+        coeffs[place[tuple(idx[perm[k]] for k in range(d - 1)) + idx[-1:]]] for idx in index))
+
+
+METAMORPHIC_FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 5: F5, 9: F9}
+# (q, l, n, d) over F_2, F_3, F_4, F_5, F_9, l <= 2, n <= 4, d in {3, 4}, with at
+# most 2^13 projective (d-2)-tuples at level l
+METAMORPHIC_SHAPES = [(q, l, n, d) for q in METAMORPHIC_FIELDS for l in (1, 2) for n in (1, 2, 3, 4)
+                      for d in (3, 4) if ((q ** (l * n) - 1) // (q ** l - 1)) ** (d - 2) <= 1 << 13]
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(METAMORPHIC_SHAPES), st.sampled_from(SF_KINDS + ("singular B",)),
+       st.integers(0, 2 ** 32 - 1))
+def test_count_sf_invariant_under_slot_bases_and_permutations_property(shape, kind, s):
+    """|S_F| is unchanged by (A_1, ..., A_d) in GL_n(F_q)^d acting slot by
+    slot, and by permuting the first d - 1 slots: x -> (A_k x_k) is a
+    bijection of the tuples, and F(.., A_d y) = 0 for all y exactly when
+    F(.., y) = 0 for all y. The change of basis of the line kernel rests on
+    the first of these."""
+    q, l, n, d = shape
+    field = METAMORPHIC_FIELDS[q]
+    K, rnd = kernel(field), random.Random(s)
+    F = singular_last_block(field, d, n, s) if kind == "singular B" and n > 1 else sf_test_form(kind, field, d, n, s)
+    mats = []
+    while len(mats) < d:
+        A = [[rnd.randrange(q) for _ in range(n)] for _ in range(n)]
+        if matrix_rank([row[:] for row in A], n, K) == n:
+            mats.append(A)
+    perm = list(range(d - 1))
+    rnd.shuffle(perm)
+    assert count_SF(transformed(F, mats, perm), l) == count_SF(F, l), (mats, perm)
 
 
 def assert_frobenius_orbits(K, n, k, e):
