@@ -29,18 +29,20 @@ Q <= 3 and forms with too few lines to pay for the solve, take the node
 route: det B, the t^n coefficient of every line's det(P + tB), is taken
 once per form, and exact ranks at the n nodes t = 0..n-1 fix the line's
 generic rank r and one nonzero r-minor m, a polynomial of degree <= n in
-t; off the zeros of m the rank is r, and at a simple zero of m =
-det(P + tB) it is n - 1. On both routes only the other zeros need another
-exact rank; small fields find the zeros by evaluating the polynomial at
-every t, large ones from gcd(m, t^Q - t) and equal-degree splitting. For
-d >= 4 the first d-3 projective vectors are contracted away first. At
-level l > 1, F still has its coefficients in F_q, so the Frobenius
-x -> x^q maps each slice to one of the same rank: one line is ranked per
-orbit of the heads u (d = 3), and one prefix tuple is contracted per
-orbit of the diagonal action (d >= 4), each weighted by its orbit's
-size. A literal full-enumeration counter is retained solely as a
-differential-testing oracle; the tests also rank every projective slice
-one at a time.
+t whose monomial coefficients one Vandermonde inverse per kernel gives
+from its node values; off the zeros of m the rank is r, and at a simple
+zero of m = det(P + tB) it is n - 1. Both routes hand one zero finder
+the monomial coefficients of their polynomial, and only the other zeros
+need another exact rank; small fields find the zeros by evaluating the
+polynomial at every t in F_Q, large ones from gcd(m, t^Q - t) and
+equal-degree splitting. For d >= 4 the first d-3 projective vectors are
+contracted away first. At level l > 1, F still has its coefficients in
+F_q, so the Frobenius x -> x^q maps each slice to one of the same rank:
+one line is ranked per orbit of the heads u (d = 3), and one prefix
+tuple is contracted per orbit of the diagonal action (d >= 4), each
+weighted by its orbit's size. A literal full-enumeration counter is
+retained solely as a differential-testing oracle; the tests also rank
+every projective slice one at a time.
 
 The integer box sieves apply the same idea: enumerate the first d-2
 blocks of the height box, contract each prefix to the n x n system of
@@ -75,9 +77,9 @@ from itertools import islice, product, repeat
 from typing import Sequence
 
 from .errors import BudgetError
-from .field import (FieldSpec, _charpoly, _eliminate, _poly_add, _poly_divmod, _poly_field_roots,
-                    _poly_from_newton, _poly_gcd, _poly_mul_trunc, _poly_roots, _rank_det, _solve,
-                    _square_rows, embed, kernel, make_field)
+from .field import (FieldSpec, _charpoly, _eliminate, _poly_add, _poly_field_roots, _poly_gcd,
+                    _poly_mul_trunc, _poly_roots, _poly_trim, _rank_det, _solve, _square_rows,
+                    embed, kernel, make_field)
 from .tensor import HomogeneousForm, IntMultilinearForm, MultilinearForm, base_change, poly_base_change
 
 DEFAULT_BUDGET_BITS = 28
@@ -311,25 +313,27 @@ def _line_kernel(K, n: int):
     fix the line's generic rank r: it is n if det B != 0, and otherwise the
     largest node rank, since a nonzero minor that is not det(P + tB) has
     degree <= n - 1 and cannot vanish at all n nodes. The node with rank r
-    names a nonzero r-minor m, det(P + tB) when r = n; its values at the
-    nodes give its Newton coefficients c_0..c_(n-1) by divided
-    differences, and c_n = det B (0 when r < n). Off the zeros of m the
-    rank is r. At a zero t_0 of det(P + tB) with m'(t_0) != 0 the rank is
-    n - 1: d/dt det(P + tB) = tr(adj(P + tB) B), and the adjugate vanishes
-    where the rank is <= n - 2. So exact ranks are left only at the
-    multiple zeros when r = n, and at every zero when r < n. When
-    Q <= n + 2 every point is ranked instead: one or two exact ranks cost
-    less than the interpolation.
+    names a nonzero r-minor m, det(P + tB) when r = n, of degree <= n with
+    t^n coefficient c_n = det B (0 when r < n). Its monomial coefficients
+    below are c_0..c_(n-1) = V^-1 (m(t_i) - det B t_i^n), where V[i][k] =
+    t_i^k is the Vandermonde matrix over the nodes, inverted once per
+    kernel (_solve). Off the zeros of m the rank is r. At a zero t_0 of
+    det(P + tB) with m'(t_0) != 0 the rank is n - 1: d/dt det(P + tB) =
+    tr(adj(P + tB) B), and the adjugate vanishes where the rank is
+    <= n - 2. So exact ranks are left only at the multiple zeros when
+    r = n, and at every zero when r < n; a node that is a zero of m is
+    treated like any other zero. When Q <= n + 2 every point is ranked
+    instead: one or two exact ranks cost less than the interpolation.
 
     A form takes the characteristic polynomial route when n > 2, Q > 3,
     rank B >= n - 1 and it has at least n^3 / _CHI lines, _CHI = 3.4: the
     solve (and the candidates) cost a few lines' worth per form, and at
     n = 2 or Q <= 3 a chi line is slower than a node line. A B of lower
     rank keeps the node route without trying any candidate: det(P + tB)
-    then has degree <= rank B, so the node route's Newton form is short,
-    while chi has degree n (diag(3, 3, 3) over F_2, whose slice at (1, 1, 1)
-    is I, ran 0.70-0.77x on the chi route). Diagonal forms, rank-one forms
-    and the zero form keep the node route so. Per call, warm, random forms,
+    then has degree <= rank B, so m has few terms and few zeros, while chi
+    has degree n (diag(3, 3, 3) over F_2, whose slice at (1, 1, 1) is I,
+    ran 0.70-0.77x on the chi route). Diagonal forms, rank-one forms and
+    the zero form keep the node route so. Per call, warm, random forms,
     node / chi route forced, on a 2-core host with Python 3.11: n = 3 at
     Q = 7 (8 lines) 0.143 / 0.122 ms, F_2 at l = 4 (Q = 16, 7 lines)
     0.146 / 0.155 ms, F_4 at l = 2 (Q = 16, 11 lines) 0.253 / 0.198 ms;
@@ -337,15 +341,16 @@ def _line_kernel(K, n: int):
     lines) 0.442 / 0.506 ms, F_4 (21 lines) 0.693 / 0.643 ms, F_5 (31
     lines) 1.29 / 0.955 ms.
 
-    Both routes share one zero-finding tail (zeros), for the Newton form
-    over the nodes or for chi in the monomial basis. The scan evaluates
-    the polynomial at every t off the nodes (at every t for chi) against a
-    basis table built once per kernel; at a zero, Horner's rule gives the
+    Both routes hand one zero finder (zeros) the monomial coefficients
+    c_0..c_n of their polynomial, m or chi, and it looks for the zeros
+    over all of F_Q; the line's sum is weight[r] Q plus the change at
+    each zero. The scan evaluates the polynomial at every t against a
+    table of t^k built once per kernel; at a zero, Horner's rule gives the
     derivative in O(n). The Frobenius route takes g = gcd(m, t^Q - t), with
     t^Q mod m by repeated squaring: g has the distinct zeros of m in F_Q.
-    The nodes' zeros are divided out; when r = n, deg g - deg gcd(g, m') of
-    the rest are simple (every zero counts as multiple when m' = 0, as can
-    happen when p <= n), and the remaining zeros are found by equal-degree
+    When r = n, deg g - deg gcd(g, m') of them are simple (every zero
+    counts as multiple when m' = 0, as can happen when p <= n), and the
+    remaining zeros are found by equal-degree
     splitting (_poly_roots). The scan is taken up to Q = _SCAN[0] = 165
     over a prime field and Q = _SCAN[1] = 125 over an extension. The
     crossover hardly moves with n; it moves with the cost of an addition,
@@ -364,25 +369,19 @@ def _line_kernel(K, n: int):
     Q, nn = K.q, n * n
     add, mul, sub = K.add, K.mul, K.sub
     weight = [Q ** (n - r) for r in range(n + 1)]
-    # up to two points off the nodes cost less ranked than interpolated
-    nodes, rest = (range(Q), ()) if Q <= n + 2 else (range(n), range(n, Q))
+    # up to two points past n nodes cost less ranked than interpolated
+    every = Q <= n + 2
+    nodes = range(Q if every else n)
     scan = Q <= _SCAN[K.e > 1]
     chi = n > 2 and Q > 3
-    # 1/(x_i - x_{i-k}) for the divided differences over the nodes
-    inv_diff = [[K.inv(sub(i, i - k)) if i >= k else 0 for i in nodes] for k in range(1, n)]
-    # the monomials are the Newton basis over n nodes at 0
-    monomial, minus_eye = [0] * n, [K.neg(1) if i % (n + 1) == 0 else 0 for i in range(nn)]
-
-    def table(xs: Sequence[int], pts: Sequence[int]) -> list[list[int]]:
-        """The basis prod_{i<k} (t - xs[i]), k = 1..n, at every t in pts."""
-        out, b = [], [1] * len(pts)
-        for x in xs:
-            b = [mul(y, sub(t, x)) for y, t in zip(b, pts)]
-            out.append(b)
-        return out
-
+    minus_eye = [K.neg(1) if i % (n + 1) == 0 else 0 for i in range(nn)]
+    if not every:
+        # c_0..c_(n-1) of m are V^-1 (m(t_i) - det B t_i^n), V[i][k] = t_i^k over the nodes
+        inv_V = _solve([K.pow(t, k) for t in nodes for k in range(n)],
+                       [[int(i == k) for k in range(n)] for i in range(n)], n, K)
+        top = [K.pow(t, n) for t in nodes]
     if scan:
-        newton, powers = table(nodes, rest), chi and table(monomial, range(Q))
+        powers = [[K.pow(t, k) for t in range(Q)] for k in range(1, n + 1)]
 
     def combine(u: Sequence[int], mats) -> list[int]:
         """sum_j u_j mats[j] for a projective point u, whose first nonzero entry is 1."""
@@ -406,42 +405,37 @@ def _line_kernel(K, n: int):
             return matrix_rank(_square_rows(M, n), n, K)
         return _rank_det(M, n, K)[0]
 
-    def slope(c: list[int], xs: Sequence[int], t: int) -> int:
-        """The derivative at t of the Newton form over xs, by Horner's rule."""
+    def slope(c: list[int], t: int) -> int:
+        """The derivative at t of sum_k c_k t^k, by Horner's rule."""
         v, dv = c[n], 0
         for k in range(n - 1, -1, -1):
-            x = sub(t, xs[k])
-            dv = add(mul(dv, x), v)
-            v = add(mul(v, x), c[k])
+            dv = add(mul(dv, t), v)
+            v = add(mul(v, t), c[k])
         return dv
 
-    def zeros(c: list[int], newton_form: bool, r: int, P, B, skip=()) -> int:
-        """Sum of weight[rank(P + tB)] - weight[r] over the zeros of m in F_Q off the nodes.
+    def zeros(c: list[int], r: int, P, B) -> int:
+        """Sum of weight[rank(P + tB)] - weight[r] over the zeros t in F_Q of m = sum_k c_k t^k.
 
-        c holds m in the Newton basis over the nodes (node route; skip lists
-        the nodes that are zeros) or in the monomial basis (chi route, no
-        nodes); r = n when m is det(P + tB) up to a nonzero factor.
+        r is the rank of P + tB off the zeros of m; r = n when m is
+        det(P + tB) up to a nonzero factor.
         """
-        s, xs = 0, nodes if newton_form else monomial
+        s = 0
         if scan:
-            pts, basis = (rest, newton) if newton_form else (range(Q), powers)
             # m(t) = 0 where the terms past c_0 add up to -c_0
             values, zero_at = None, K.neg(c[0])
-            for ck, bk in zip(c[1:], basis):
+            for ck, bk in zip(c[1:], powers):
                 if ck:
                     term = bk if ck == 1 else map(mul, repeat(ck), bk)
                     values = term if values is None else map(add, values, term)
-            for t, v in zip(pts, values or repeat(0)):
+            for t, v in zip(range(Q), values or repeat(0)):
                 if v == zero_at:
-                    s += (weight[n - 1] if r == n and slope(c, xs, t) else
+                    s += (weight[n - 1] if r == n and slope(c, t) else
                           weight[rank(pencil(P, B, t))]) - weight[r]
             return s
-        m = _poly_from_newton(c, K) if newton_form else c
+        m = _poly_trim(c)
         if len(m) < 2:
             return s
         g = _poly_field_roots(m, K)
-        for t in skip:
-            g = _poly_divmod(g, (K.neg(t), 1), K)[0]
         if r == n:
             h = _poly_gcd(g, [mul(i % K.p, a) for i, a in enumerate(m)][1:], K)
             s += (len(g) - len(h)) * (weight[n - 1] - weight[n])
@@ -452,23 +446,18 @@ def _line_kernel(K, n: int):
 
     def line(P: Sequence[int], B: Sequence[int], det_B: int) -> int:
         Ms = [pencil(P, B, t) for t in nodes]
-        if not rest:
+        if every:
             return sum(weight[rank(M)] for M in Ms)
         at_nodes = [_rank_det(M, n, K) for M in Ms]
         ranks = [r for r, _ in at_nodes]
         r = n if det_B else max(ranks)
         if r == n:
-            c = [det for _, det in at_nodes]
+            vals = [sub(det, mul(det_B, x)) for (_, det), x in zip(at_nodes, top)]
         else:
             rows, cols = _eliminate(_square_rows(Ms[ranks.index(r)], n), n, K)
-            c = [_rank_det([M[i * n + j] for i in rows for j in cols], r, K)[1] for M in Ms]
-        s = sum(weight[k] for k in ranks) + weight[r] * len(rest)
-        node_zeros = [t for t, v in zip(nodes, c) if not v]
-        for k, inv_k in enumerate(inv_diff, 1):
-            for i in range(n - 1, k - 1, -1):
-                c[i] = mul(sub(c[i], c[i - 1]), inv_k[i])
-        c.append(det_B)
-        return s + zeros(c, True, r, P, B, node_zeros)
+            vals = [_rank_det([M[i * n + j] for i in rows for j in cols], r, K)[1] for M in Ms]
+        c = [functools.reduce(add, map(mul, row, vals)) for row in inv_V] + [det_B]
+        return weight[r] * Q + zeros(c, r, P, B)
 
     def slice_sum(G: Sequence[int], heads) -> int:
         blocks = [G[j * nn:(j + 1) * nn] for j in range(n)]
@@ -495,7 +484,7 @@ def _line_kernel(K, n: int):
         total = weight[n]
         for (u,), w in heads:
             N = combine(u, Ns)
-            total += w * (weight[n] * Q + zeros(_charpoly(N, n, K), False, n, N, minus_eye))
+            total += w * (weight[n] * Q + zeros(_charpoly(N, n, K), n, N, minus_eye))
         return total
 
     return slice_sum

@@ -19,8 +19,10 @@ Above 2^16, odd-characteristic arithmetic works digit by digit.
 
 Polynomials over F_q are coefficient tuples of element indices, constant
 term first. The _poly_* helpers that take a kernel (product, remainder,
-gcd, power mod m, roots) serve Rabin's irreducibility test over F_p, the
-F_q[t] counters and the root finding of count_SF's line kernel. The
+gcd, power mod m, the roots in F_q and their splitting) serve Rabin's
+irreducibility test over F_p, the F_q[t] counters and the one zero
+finder of count_SF's line kernel, which takes each line's polynomial in
+the monomial basis on both of its routes. The
 matrix helpers beside them (elimination, rank and determinant, a
 Gauss-Jordan solve, the characteristic polynomial by Hessenberg
 reduction) work on element indices the same way.
@@ -200,16 +202,6 @@ def _poly_powmod(h: Sequence[int], k: int, m: Sequence[int], K) -> tuple[int, ..
         if bit == "1":
             acc = reduce(list(_poly_mul_trunc(acc, h, K)))
     return _poly_trim(acc)
-
-
-def _poly_from_newton(c: Sequence[int], K) -> tuple[int, ...]:
-    """Coefficients of sum_k c[k] prod_{i<k} (t - x_i), x_i the element of index i, trimmed."""
-    add, mul, sub = K.add, K.mul, K.sub
-    m = [c[-1]]
-    for k in range(len(c) - 2, -1, -1):  # m = m (t - x_k) + c_k
-        m = [sub(a, mul(k, b)) for a, b in zip([0] + m, m + [0])]
-        m[0] = add(m[0], c[k])
-    return _poly_trim(m)
 
 
 def _poly_field_roots(m: Sequence[int], K) -> tuple[int, ...]:
@@ -632,7 +624,7 @@ class _Kernel:
     """
 
     __slots__ = ("spec", "p", "e", "q", "add", "sub", "mul", "neg", "inv", "pow",
-                 "digits_of", "index_of", "_exp", "_log")
+                 "digits_of", "_exp", "_log")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -675,7 +667,6 @@ class _Kernel:
         self.neg = lambda a: (-a) % p
         self.inv = lambda a: pow(a, p - 2, p) if a else self._zero_div()
         self.pow = lambda a, k: pow(a, k, p) if a or k >= 0 else self._zero_div()
-        self.index_of = self._index_direct
 
     @staticmethod
     def _zero_div():
@@ -704,7 +695,6 @@ class _Kernel:
         self.add = lambda a, b: a ^ b
         self.sub = self.add
         self.neg = lambda a: a
-        self.index_of = self._index_direct
         self._finish_mul(mul_raw, q)
 
     # -- F_{p^e}, p odd ------------------------------------------------------
@@ -742,7 +732,6 @@ class _Kernel:
         self.add = add
         self.neg = neg_tbl.__getitem__
         self.sub = lambda a, b: add(a, neg_tbl[b])
-        self.index_of = index_direct
 
     # -- multiplication via exp/log tables, or raw fallback -----------------
     def _finish_mul(self, mul_raw, q: int) -> None:

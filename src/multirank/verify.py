@@ -268,15 +268,23 @@ def verify_lift_threshold(G: IntMultilinearForm, L: int, sigma: float,
 # rank-chain inequalities
 # ---------------------------------------------------------------------------
 
+def _affordable_level(F: MultilinearForm, l_max: int, budget_bits: float) -> int:
+    """The largest level l <= l_max whose count_SF slice enumeration fits the budget, but not below 2."""
+    lm = l_max
+    while lm > 2 and (F.d - 2) * F.n * lm * math.log2(F.field.q) > budget_bits:
+        lm -= 1
+    return lm
+
+
 def verify_rank_chain(corpus: Sequence[MultilinearForm], l_max: int = 8,
-                      check_extension_prk: bool = False, extension_l: int = 2,
+                      check_extension_prk: bool = False,
                       budget_bits: float = DEFAULT_BUDGET_BITS) -> VerifyReport:
     """Chain inequalities over a corpus.
 
     Hard (when the estimate stabilized): float ark <= (d-1) * grk_hat and
     float ark >= grk_hat * (1 - log_q(d-1)); exact direct-sum count
-    multiplicativity on consecutive pairs; optionally prk <= l * prk over
-    the degree-l extension with exact partition ranks on both sides.
+    multiplicativity on consecutive pairs; optionally prk <= 2 * prk over
+    the degree-2 extension with exact partition ranks on both sides.
     Advisory: missing stabilization, and grk_hat <= prk upper bound.
     """
     rep = VerifyReport("rank-chain", {"corpus_size": len(corpus), "l_max": l_max})
@@ -286,10 +294,7 @@ def verify_rank_chain(corpus: Sequence[MultilinearForm], l_max: int = 8,
         inst = {"tensor": tensorio.form_to_dict(F)}
         q, d = F.field.q, F.d
         ark = ark_exact(F, 1, budget_bits).float_value
-        lm = l_max  # largest level whose slice enumeration fits the budget
-        while lm > 2 and (d - 2) * F.n * lm * math.log2(q) > budget_bits:
-            lm -= 1
-        est = grk_estimate(F, lm, budget_bits)
+        est = grk_estimate(F, _affordable_level(F, l_max, budget_bits), budget_bits)
         rep.cases += 1
         if est.stabilized is None:
             rep.advisories.append(_failure(
@@ -318,17 +323,17 @@ def verify_rank_chain(corpus: Sequence[MultilinearForm], l_max: int = 8,
                         "grk_hat <= prk (advisory: finite-field status open)", inst,
                         {"grk_hat": est.stabilized, "prk": pr.upper}))
             if check_extension_prk and pr is not None and pr.exact:
-                Fl = level_form(F, extension_l)
+                Fl = level_form(F, 2)
                 try:
                     prl = prk_exact_small(Fl)
                 except BudgetError:
                     prl = None
                 if prl is not None and prl.exact:
                     rep.cases += 1
-                    if pr.lower > extension_l * prl.lower:
+                    if pr.lower > 2 * prl.lower:
                         rep.failures.append(_failure(
                             "prk(F) <= l * prk(F_l)", inst,
-                            {"l": extension_l, "prk": pr.lower, "prk_ext": prl.lower}))
+                            {"l": 2, "prk": pr.lower, "prk_ext": prl.lower}))
                         break
     if rep.passed:
         for A, B in zip(corpus, corpus[1:]):
@@ -436,9 +441,8 @@ def verify_weil(F: MultilinearForm, subfield: FieldSpec, l_max: int = 0,
             "ark(F_K) = l * ark(F)", inst,
             {"ark_restricted": ark_res, "ark_extension": ark_top, "ell": ell}))
     if rep.passed and l_max >= 2:
-        lm_res = l_max + 2 if l_max_restricted is None else l_max_restricted
-        while lm_res > 2 and (FK.d - 2) * FK.n * lm_res * math.log2(subfield.q) > budget_bits:
-            lm_res -= 1
+        lm_res = _affordable_level(FK, l_max + 2 if l_max_restricted is None else l_max_restricted,
+                                   budget_bits)
         est_top = grk_estimate(F, l_max, budget_bits)
         est_res = grk_estimate(FK, lm_res, budget_bits)
         rep.cases += 1

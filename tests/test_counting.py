@@ -657,11 +657,14 @@ def count_SF_points(F, l=1):
 
 def test_line_kernel_matches_per_point_oracle():
     """Sizes beyond the naive counter: the line kernel against one rank per slice."""
-    F4, F7 = make_field(2, 2), make_field(7, 1)
-    # the last two interpolate n >= 3 determinants in odd characteristic,
-    # where elimination's row swaps flip the sign
+    F4, F7, F8, F9 = make_field(2, 2), make_field(7, 1), make_field(2, 3), make_field(3, 2)
+    # (F3, 3, 3, 3) and (F7, 3, 4, 1) interpolate n >= 3 determinants in odd
+    # characteristic, where elimination's row swaps flip the sign; over F_8
+    # and F_9 at n = 4 the nodes 0..3 include x, and the diagonal and
+    # rank-one kinds keep rank B < n - 1, so they stay on the node route
     for field, d, n, l in [(F2, 3, 3, 6), (F4, 3, 3, 3), (F5, 3, 4, 1), (F3, 3, 2, 5),
-                           (F2, 4, 3, 2), (F3, 3, 3, 3), (F7, 3, 4, 1)]:
+                           (F2, 4, 3, 2), (F3, 3, 3, 3), (F7, 3, 4, 1), (F8, 3, 4, 1),
+                           (F9, 3, 4, 1)]:
         for kind, s in [("random", 1), ("random", 2), ("diagonal", n - 1), ("rank-one", 3)]:
             F = sf_test_form(kind, field, d, n, s)
             assert count_SF(F, l) == count_SF_points(F, l), (field, d, n, l, kind)
