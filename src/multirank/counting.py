@@ -15,13 +15,19 @@ Q^(n - rank(slice_matrix)) over (d-2)-tuples instead of scanning all
 (d-1)-tuples. Since the slice rank is invariant under scaling each
 slot vector, the enumeration runs over projective representatives and is
 multiplied back by (Q-1)^(d-2); tuples containing a zero vector
-contribute a closed form. The slice ranks are taken one projective line
-at a time: along {(u, t) : t in F_Q} the slice is P + tB, and each
-contracted form takes one of two routes (_line_kernel). When B is
-invertible, or becomes so after a change of basis of the first slot by
-one of the first 2n prime-field points (the sum over projective points
-is GL_n-invariant, and prime-field points are fixed by x -> x^q), the
-pencil is B (tI - N(u)) with N(u) linear in u and solved once per form,
+contribute a closed form. A form whose every slot j has rank r_j < n
+(the rank of its n x n^(d-1) flattening; slot 0's is ranked first, and
+rank n there settles it) is counted on its concise core: the m-cube
+sub-array F_U, m = max r_j, on each slot's pivot coordinates padded with
+its lowest other ones, and |S_F(F_Q)| = Q^((d-1)(n-m)) |S_{F_U}(F_Q)|,
+since F factors through F_U by maps of rank r_j whose kernels, defined
+over F_q, keep their dimension over every F_Q. The slice ranks are taken
+one projective line at a time: along {(u, t) : t in F_Q} the slice is
+P + tB, and each contracted form takes one of two routes (_line_kernel).
+When B is invertible, or becomes so after a change of basis of the first
+slot by one of the first 2n prime-field points (the sum over projective
+points is GL_n-invariant, and prime-field points are fixed by
+x -> x^q), the pencil is B (tI - N(u)) with N(u) linear in u and solved once per form,
 and each line takes one characteristic polynomial chi(t) =
 det(tI - N(u)) (Hessenberg reduction for n >= 4): the rank is n off the
 zeros of chi and n - 1 at a simple zero. Every other form, and n = 2,
@@ -63,8 +69,9 @@ orbit of the last prefix block, and the orbit's keys are its unit
 multiples mod t^b. count_singular evaluates the origin and the
 projective points. The literal enumerations stay as oracles
 (multirank.oracles.count_fiber, and in the tests).
-Budget gates keep their full-space exponents and raise BudgetError
-naming the offending one; nothing is silently truncated.
+Budget gates keep their full-space exponents (count_SF gates the full n
+before it takes the concise core) and raise BudgetError naming the
+offending one; nothing is silently truncated.
 """
 
 from __future__ import annotations
@@ -177,7 +184,7 @@ def _projective(q: int, n: int):
 
 def count_SF(F: MultilinearForm, l: int = 1,
              budget_bits: float = DEFAULT_BUDGET_BITS) -> int:
-    """Exact |S_{F_l}(F_{q^l})| via the rank trick.
+    """Exact |S_{F_l}(F_{q^l})| via the rank trick, on the concise core of F.
 
     Equals sum over x in V^(d-2) of Q^(n - rank(slice_matrix(F_l, x))),
     which in turn equals the literal count of (d-1)-tuples killing the
@@ -189,19 +196,73 @@ def count_SF(F: MultilinearForm, l: int = 1,
     orbit of heads, and d >= 4 contracts one prefix of d-3 projective
     vectors per orbit (_orbits); the contracted form, with F_Q
     coefficients, takes every head.
+
+    For d >= 3 the budget gate counts the full n. Then, when every slot j
+    has rank r_j < n as a map from its coordinates (_concise_core), the
+    count is Q^((d-1)(n-m)) |S_{F_U}(F_Q)| for the m-cube sub-array F_U,
+    m = max r_j, on each slot's pivot coordinates padded with its lowest
+    other ones: F factors through F_U by maps of rank r_j onto those
+    coordinates, whose kernels, defined over F_q, keep their dimension
+    over every F_Q. m = 0 is the zero form, Q^(n(d-1)). A form with some
+    slot of rank n is counted as it stands.
     """
-    Fl = level_form(F, l)
-    K = kernel(Fl.field)
-    Q, n, d = K.q, F.n, F.d
-
+    n, d = F.n, F.d
     if d == 2:
-        return Q ** (n - matrix_rank(_square_rows(Fl.coeffs, n), n, K))
+        Fl = level_form(F, l)
+        K = kernel(Fl.field)
+        return K.q ** (n - matrix_rank(_square_rows(Fl.coeffs, n), n, K))
+    if l < 1:
+        raise ValueError("level must be >= 1")
 
+    Q = F.field.q ** l
     bits = (d - 2) * n * math.log2(Q)
     if bits > budget_bits:
         raise BudgetError("S_F slice enumeration q^(l*n*(d-2))", bits, budget_bits,
                           hint="use a smaller l or raise the budget")
 
+    if not any(F.coeffs):
+        return Q ** (n * (d - 1))
+    core = _concise_core(F)
+    return Q ** ((d - 1) * (n - core.n)) * _count_sf_lines(core, l)
+
+
+def _concise_core(F: MultilinearForm) -> MultilinearForm:
+    """F itself if some slot has rank n, else the m-cube sub-array F_U that carries F.
+
+    Slot j's rank r_j is that of its n x n^(d-1) flattening, whose row i
+    holds the coefficients with index i in slot j (contiguous for slot 0,
+    which is ranked first). The pivot rows of _eliminate are a basis of
+    the row space: every other coordinate's row is a combination of
+    theirs, so F(x) = F_U(A_0 x_0, .., A_(d-1) x_(d-1)) with A_j of rank
+    r_j onto the pivot coordinates. Each slot keeps its pivot coordinates
+    and its lowest other ones up to m = max r_j, ascending. F must not be
+    the zero form (m = 0).
+    """
+    n, d, coeffs = F.n, F.d, F.coeffs
+    K = kernel(F.field)
+    size = len(coeffs)
+    keep = []
+    for j in range(d):
+        s = n ** (d - 1 - j)
+        rows = [[c for b in range(i * s, size, n * s) for c in coeffs[b:b + s]] for i in range(n)]
+        prows = _eliminate(rows, size // n, K)[0]
+        if len(prows) == n:
+            return F
+        keep.append(prows)
+    m = max(map(len, keep))
+    offsets = [0]
+    for j, prows in enumerate(keep):
+        coords = sorted(prows + [i for i in range(n) if i not in prows][:m - len(prows)])
+        s = n ** (d - 1 - j)
+        offsets = [o + i * s for o in offsets for i in coords]
+    return MultilinearForm(F.field, d, m, tuple(coeffs[o] for o in offsets))
+
+
+def _count_sf_lines(F: MultilinearForm, l: int) -> int:
+    """count_SF for d >= 3 past its gate: the projective slices, line by line."""
+    Fl = level_form(F, l)
+    K = kernel(Fl.field)
+    Q, n, d = K.q, F.n, F.d
     q = F.field.q
     slice_sum = _line_kernel(K, n)
     heads = _orbits(K, n - 1, 1, q if d == 3 else Q)
@@ -317,7 +378,8 @@ def _line_kernel(K, n: int):
     t^n coefficient c_n = det B (0 when r < n). Its monomial coefficients
     below are c_0..c_(n-1) = V^-1 (m(t_i) - det B t_i^n), where V[i][k] =
     t_i^k is the Vandermonde matrix over the nodes, inverted once per
-    kernel (_solve). Off the zeros of m the rank is r. At a zero t_0 of
+    kernel (_solve); node 0 is t = 0, so c_0 = m(0) and only rows 1..n-1
+    of V^-1 are applied. Off the zeros of m the rank is r. At a zero t_0 of
     det(P + tB) with m'(t_0) != 0 the rank is n - 1: d/dt det(P + tB) =
     tr(adj(P + tB) B), and the adjugate vanishes where the rank is
     <= n - 2. So exact ranks are left only at the multiple zeros when
@@ -332,14 +394,15 @@ def _line_kernel(K, n: int):
     rank keeps the node route without trying any candidate: det(P + tB)
     then has degree <= rank B, so m has few terms and few zeros, while chi
     has degree n (diag(3, 3, 3) over F_2, whose slice at (1, 1, 1) is I,
-    ran 0.70-0.77x on the chi route). Diagonal forms, rank-one forms and
-    the zero form keep the node route so. Per call, warm, random forms,
-    node / chi route forced, on a 2-core host with Python 3.11: n = 3 at
-    Q = 7 (8 lines) 0.143 / 0.122 ms, F_2 at l = 4 (Q = 16, 7 lines)
-    0.146 / 0.155 ms, F_4 at l = 2 (Q = 16, 11 lines) 0.253 / 0.198 ms;
-    n = 4 at Q = 3 (13 lines) 0.317 / 0.384 ms, F_2 at l = 2 (Q = 4, 14
-    lines) 0.442 / 0.506 ms, F_4 (21 lines) 0.693 / 0.643 ms, F_5 (31
-    lines) 1.29 / 0.955 ms.
+    ran 0.70-0.77x on the chi route). Concise diagonal forms keep the node
+    route so; a diagonal of lower rank or a rank-one form reaches the
+    kernel as its concise core, diag(m, m) or a 1-cube (count_SF). Per
+    call, warm, random forms, node / chi route forced, on a 2-core host
+    with Python 3.11: n = 3 at Q = 7 (8 lines) 0.143 / 0.122 ms, F_2 at
+    l = 4 (Q = 16, 7 lines) 0.146 / 0.155 ms, F_4 at l = 2 (Q = 16, 11
+    lines) 0.253 / 0.198 ms; n = 4 at Q = 3 (13 lines) 0.317 / 0.384 ms,
+    F_2 at l = 2 (Q = 4, 14 lines) 0.442 / 0.506 ms, F_4 (21 lines)
+    0.693 / 0.643 ms, F_5 (31 lines) 1.29 / 0.955 ms.
 
     Both routes hand one zero finder (zeros) the monomial coefficients
     c_0..c_n of their polynomial, m or chi, and it looks for the zeros
@@ -376,9 +439,10 @@ def _line_kernel(K, n: int):
     chi = n > 2 and Q > 3
     minus_eye = [K.neg(1) if i % (n + 1) == 0 else 0 for i in range(nn)]
     if not every:
-        # c_0..c_(n-1) of m are V^-1 (m(t_i) - det B t_i^n), V[i][k] = t_i^k over the nodes
+        # c_0..c_(n-1) of m are V^-1 (m(t_i) - det B t_i^n), V[i][k] = t_i^k over the
+        # nodes; node 0 is t = 0, so row 0 of V^-1 is e_0 and c_0 = m(0): rows 1.. kept
         inv_V = _solve([K.pow(t, k) for t in nodes for k in range(n)],
-                       [[int(i == k) for k in range(n)] for i in range(n)], n, K)
+                       [[int(i == k) for k in range(n)] for i in range(n)], n, K)[1:]
         top = [K.pow(t, n) for t in nodes]
     if scan:
         powers = [[K.pow(t, k) for t in range(Q)] for k in range(1, n + 1)]
@@ -456,7 +520,7 @@ def _line_kernel(K, n: int):
         else:
             rows, cols = _eliminate(_square_rows(Ms[ranks.index(r)], n), n, K)
             vals = [_rank_det([M[i * n + j] for i in rows for j in cols], r, K)[1] for M in Ms]
-        c = [functools.reduce(add, map(mul, row, vals)) for row in inv_V] + [det_B]
+        c = [vals[0]] + [functools.reduce(add, map(mul, row, vals)) for row in inv_V] + [det_B]
         return weight[r] * Q + zeros(c, r, P, B)
 
     def slice_sum(G: Sequence[int], heads) -> int:

@@ -42,6 +42,7 @@ from multirank.tensor import (
     random_form,
     random_int_form,
     random_poly,
+    weil_restrict,
 )
 
 F2 = make_field(2, 1)
@@ -613,9 +614,11 @@ def sf_test_form(kind, field, d, n, s):
     if kind == "random":
         return random_form(field, d, n, s)
     if kind == "diagonal":
-        return diagonal(s % n, n, d, field)  # m < n: every slice is singular
+        return diagonal(s % n, n, d, field)  # m < n: rank m in every slot
     if kind == "zero":
         return MultilinearForm.zeros(field, d, n)
+    if kind in ("pulled back", "partly deficient"):
+        return deficient_form(field, d, n, s, partly=kind == "partly deficient")
     return rank_one_form(field, d, n, s)
 
 
@@ -704,12 +707,16 @@ ROUTE_SHAPES = [(q, l, n, d) for q, top in ROUTE_LEVELS.items() for l in range(1
 
 @seed(20261019)
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(ROUTE_SHAPES), st.sampled_from(("random", "random", "diagonal", "rank-one")),
+@given(st.sampled_from(ROUTE_SHAPES),
+       st.sampled_from(("random", "random", "diagonal", "rank-one", "partly deficient")),
        st.integers(0, 2 ** 32 - 1))
 def test_count_sf_line_routes_match_per_point_property(shape, kind, s):
     """The default route choice, and the scan and the Frobenius gcd at every
     Q > n + 2 on the node route and on the characteristic polynomial route,
-    each against one exact rank per slice. F_2 up to l = 10,
+    each against one exact rank per slice. Diagonal and rank-one forms are
+    counted on their concise core. A form deficient in only some slots keeps
+    its full n, and when the last slot or the one before it is deficient,
+    every slice is singular. F_2 up to l = 10,
     F_3 up to l = 6, F_4 up to l = 5, F_9 up to l = 3 and the primes 257 and
     1021 put the default past the crossover for n = 2."""
     q, l, n, d = shape
@@ -980,18 +987,43 @@ def test_count_sf_routes_on_crafted_forms(name, F, levels):
                 assert count_SF(F, l) == want, (l, route)
 
 
-def transformed(F, mats, perm):
-    """F(A_1 x_1, ..., A_d x_d) with the first d - 1 slots then permuted by perm."""
+def transformed(F, mats):
+    """F(A_1 x_1, ..., A_d x_d); the A_k need not be invertible."""
     K, n, d = kernel(F.field), F.n, F.d
     coeffs = list(F.coeffs)
     for k, A in enumerate(mats):
         stride = n ** (d - 1 - k)
         coeffs = [functools.reduce(K.add, [K.mul(coeffs[i - (i // stride % n - j) * stride], A[j][i // stride % n])
-                                           for j in range(n)]) for i in range(len(coeffs))]
+                                           for j in range(n)], 0) for i in range(len(coeffs))]
+    return MultilinearForm(F.field, d, n, tuple(coeffs))
+
+
+def permuted(F, perm):
+    """F with its slots permuted: G(x_0, ..., x_(d-1)) = F(x_perm[0], ..., x_perm[d-1])."""
+    n, d = F.n, F.d
     index = list(itertools.product(range(n), repeat=d))
     place = {idx: i for i, idx in enumerate(index)}
-    return MultilinearForm(F.field, d, n, tuple(
-        coeffs[place[tuple(idx[perm[k]] for k in range(d - 1)) + idx[-1:]]] for idx in index))
+    return MultilinearForm(F.field, d, n, tuple(F.coeffs[place[tuple(idx[k] for k in perm)]] for idx in index))
+
+
+def deficient_form(field, d, n, s, partly=False):
+    """A random form pulled back through a random map L_k R_k (n x r, r x n)
+    of rank at most r < n in every slot k, or, if partly, in a random
+    nonempty proper subset of the slots: its slot kernels are not spanned
+    by coordinate vectors."""
+    K, rnd = kernel(field), random.Random(s)
+    slots = rnd.sample(range(d), rnd.randrange(1, d)) if partly else range(d)
+    mats = []
+    for k in range(d):
+        if k not in slots:
+            mats.append([[int(i == j) for j in range(n)] for i in range(n)])
+            continue
+        r = rnd.randrange(n)
+        L = [[rnd.randrange(field.q) for _ in range(r)] for _ in range(n)]
+        R = [[rnd.randrange(field.q) for _ in range(n)] for _ in range(r)]
+        mats.append([[functools.reduce(K.add, map(K.mul, L[i], [row[j] for row in R]), 0)
+                      for j in range(n)] for i in range(n)])
+    return transformed(random_form(field, d, n, s), mats)
 
 
 METAMORPHIC_FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 5: F5, 9: F9}
@@ -999,18 +1031,22 @@ METAMORPHIC_FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 5: F5, 9: F9}
 # most 2^13 projective (d-2)-tuples at level l
 METAMORPHIC_SHAPES = [(q, l, n, d) for q in METAMORPHIC_FIELDS for l in (1, 2) for n in (1, 2, 3, 4)
                       for d in (3, 4) if ((q ** (l * n) - 1) // (q ** l - 1)) ** (d - 2) <= 1 << 13]
+METAMORPHIC_KINDS = SF_KINDS + ("singular B", "pulled back", "partly deficient")
 
 
 @seed(20261020)
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(METAMORPHIC_SHAPES), st.sampled_from(SF_KINDS + ("singular B",)),
+@given(st.sampled_from(METAMORPHIC_SHAPES), st.sampled_from(METAMORPHIC_KINDS),
        st.integers(0, 2 ** 32 - 1))
 def test_count_sf_invariant_under_slot_bases_and_permutations_property(shape, kind, s):
     """|S_F| is unchanged by (A_1, ..., A_d) in GL_n(F_q)^d acting slot by
-    slot, and by permuting the first d - 1 slots: x -> (A_k x_k) is a
+    slot, and by all d! permutations of the slots. x -> (A_k x_k) is a
     bijection of the tuples, and F(.., A_d y) = 0 for all y exactly when
-    F(.., y) = 0 for all y. The change of basis of the line kernel rests on
-    the first of these."""
+    F(.., y) = 0 for all y; the change of basis of the line kernel rests on
+    this. Summing psi(F(x)) over all of V^d for a nontrivial additive
+    character psi gives Q^n |S_F| whichever slot is summed last, so every
+    slot may be the last. A permuted form hands the line kernel other
+    pencils, and a non-concise one other pivot coordinates for its core."""
     q, l, n, d = shape
     field = METAMORPHIC_FIELDS[q]
     K, rnd = kernel(field), random.Random(s)
@@ -1020,9 +1056,78 @@ def test_count_sf_invariant_under_slot_bases_and_permutations_property(shape, ki
         A = [[rnd.randrange(q) for _ in range(n)] for _ in range(n)]
         if matrix_rank([row[:] for row in A], n, K) == n:
             mats.append(A)
-    perm = list(range(d - 1))
-    rnd.shuffle(perm)
-    assert count_SF(transformed(F, mats, perm), l) == count_SF(F, l), (mats, perm)
+    G, want = transformed(F, mats), count_SF(F, l)
+    for perm in itertools.permutations(range(d)):
+        assert count_SF(permuted(G, perm), l) == want, (mats, perm)
+
+
+CORE_FIELDS = {2: F2, 3: F3, 4: make_field(2, 2)}
+WEIL_FIELDS = {2: make_field(2, 2), 3: F9}  # F_4 -> F_2, F_9 -> F_3
+CORE_KINDS = ("diagonal", "weil", "pulled back", "partly deficient", "zero")
+# (q, l, n, d, kind) over F_2, F_3, F_4, l <= 2, n <= 4, d in {3, 4}, with at most
+# 2^13 projective (d-2)-tuples at level l; Weil restrictions need n even and q prime
+CORE_CASES = [(q, l, n, d, kind) for q in CORE_FIELDS for l in (1, 2) for n in (1, 2, 3, 4)
+              for d in (3, 4) for kind in CORE_KINDS
+              if ((q ** (l * n) - 1) // (q ** l - 1)) ** (d - 2) <= 1 << 13
+              and (kind != "weil" or (q in WEIL_FIELDS and n % 2 == 0))]
+
+
+def core_test_form(kind, field, d, n, s):
+    if kind == "weil":  # diag(m, n/2) over F_(q^2), m <= 2, restricted to F_q
+        big = WEIL_FIELDS[field.q]
+        return weil_restrict(diagonal(s % (min(2, n // 2) + 1), n // 2, d, big), embed(field, big))
+    return sf_test_form(kind, field, d, n, s)
+
+
+@seed(20261021)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CORE_CASES), st.integers(0, 2 ** 32 - 1))
+def test_count_sf_concise_core_matches_oracle_property(case, s):
+    """count_SF on forms of rank below n in every slot (counted on their
+    concise core), in only some slots (counted as they stand) and the zero
+    form, against the literal enumeration where it fits and one exact rank
+    per slice otherwise."""
+    q, l, n, d, kind = case
+    F = core_test_form(kind, CORE_FIELDS[q], d, n, s)
+    Q = q ** l
+    want = count_SF_naive(F, l) if Q ** (n * (d - 1)) <= 1 << 12 else count_SF_points(F, l)
+    assert count_SF(F, l) == want
+
+
+def slot_ranks(F):
+    """The rank of each slot's n x n^(d-1) flattening, by one matrix_rank each."""
+    K, n, d = kernel(F.field), F.n, F.d
+    index = list(itertools.product(range(n), repeat=d))
+    return [matrix_rank([[c for idx, c in zip(index, F.coeffs) if idx[j] == i] for i in range(n)],
+                        n ** (d - 1), K) for j in range(d)]
+
+
+@pytest.mark.parametrize("kind,q,n,d", [("diagonal", 3, 4, 3), ("weil", 2, 4, 4), ("weil", 3, 4, 3),
+                                        ("pulled back", 2, 4, 3), ("pulled back", 4, 3, 4),
+                                        ("partly deficient", 3, 3, 3), ("partly deficient", 2, 3, 4)])
+def test_concise_core_is_the_max_rank_cube(kind, q, n, d):
+    """_concise_core keeps F when some slot has rank n, and otherwise returns
+    a cube of side m = max slot rank on which every slot keeps its rank."""
+    for s in range(6):
+        F = core_test_form(kind, CORE_FIELDS[q], d, n, s)
+        ranks = slot_ranks(F)
+        if not any(ranks):
+            continue
+        core = counting._concise_core(F)
+        if max(ranks) == n:
+            assert core is F
+        else:
+            assert core.n == max(ranks) and slot_ranks(core) == ranks, (s, ranks)
+
+
+def test_count_sf_gates_the_full_space_of_a_deficient_form():
+    """The budget gate counts the full n, though the core of diag(1, 6) has m = 1."""
+    D = diagonal(1, 6, 3, F2)
+    assert counting._concise_core(D).n == 1
+    with pytest.raises(BudgetError) as err:
+        count_SF(D, 2, budget_bits=10)
+    assert (err.value.what, err.value.bits, err.value.limit_bits) == ("S_F slice enumeration q^(l*n*(d-2))", 12, 10)
+    assert count_SF(D, 2, budget_bits=12) == 4 ** 10 * 7  # x_0 y_0 = 0, the rest free
 
 
 def assert_frobenius_orbits(K, n, k, e):
