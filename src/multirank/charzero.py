@@ -76,10 +76,11 @@ def liminf_ark_scan(F: IntMultilinearForm, primes=None,
     """Exact ark of F mod p for each prime, with the tail-window estimate.
 
     The rational geometric-rank estimate is set when the last three
-    per-prime values lie within 0.25 of a common integer.
+    per-prime values lie within 0.25 of a common integer. Without primes,
+    the scan takes default_primes under its own budget, capped at 20 bits.
     """
     if primes is None:
-        primes = default_primes(F)
+        primes = default_primes(F, min(budget_bits, 20.0))
     primes = sorted(int(p) for p in primes)
     if not primes:
         raise ValueError("prime list is empty")

@@ -7,9 +7,11 @@ point-counting estimates subject to a fixed stabilization discipline: an
 integer is reported only when the last two levels round to the same value
 and the final rounding gap is below 0.25; otherwise callers get the
 per-level floats and no integer claim. Partition rank and strength are
-exact small-instance searches by iterative deepening, returning
-certificates that are re-verified by exact re-summation before a result
-is marked exact.
+one exact small-instance search over two catalogs: one builder lists the
+distinct rank-one tensors (partition rank) or products of lower-degree
+forms (strength), and one iterative deepening finds the fewest catalog
+terms summing to the target, returning a certificate only after exact
+re-summation has verified it.
 """
 
 from __future__ import annotations
@@ -173,8 +175,6 @@ class RankOneTerm:
         comp = tuple(k for k in range(d) if k not in self.slots)
         off = _offsets(n, d)
         out = [0] * (n ** d)
-        goff = _offsets(n, len(self.slots))
-        hoff = _offsets(n, len(comp))
         for gi, gidx in enumerate(itertools.product(range(n), repeat=len(self.slots))):
             gv = self.g[gi]
             if not gv:
@@ -235,12 +235,25 @@ def _projective_coeff_vectors(q: int, size: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _nonzero_coeff_vectors(q: int, size: int) -> list[tuple[int, ...]]:
-    out = []
-    for vec in itertools.product(range(q), repeat=size):
-        if any(vec):
-            out.append(vec)
-    return out
+def _catalog(parts, q: int, term):
+    """Distinct tensors of the terms term(part, g, h), each with its first term.
+
+    parts holds (part, size of g, size of h); the walk goes part by part,
+    then over projective g, then over nonzero h, both in lexicographic
+    order. term returns (dense coefficients, term). Returns (tensors,
+    terms, index) with index mapping a tensor to its position.
+    """
+    tensors, terms, index = [], [], {}
+    for part, gsz, hsz in parts:
+        hs = list(itertools.product(range(q), repeat=hsz))[1:]  # drop h = 0
+        for g in _projective_coeff_vectors(q, gsz):
+            for h in hs:
+                t, x = term(part, g, h)
+                if t not in index:
+                    index[t] = len(tensors)
+                    tensors.append(t)
+                    terms.append(x)
+    return tensors, terms, index
 
 
 @functools.lru_cache(maxsize=32)
@@ -252,33 +265,18 @@ def rank_one_catalog(field: FieldSpec, n: int, d: int, budget_bits: float = 24.0
     partitions by (size, lexicographic slots), then g projective, then h.
     """
     q = field.q
-    partitions = []
-    for size in range(1, d):
-        for slots in itertools.combinations(range(d), size):
-            if slots[0] != 0:
-                continue
-            partitions.append(slots)
-    partitions.sort(key=lambda s: (len(s), s))
+    partitions = [(0,) + rest for size in range(d - 1)
+                  for rest in itertools.combinations(range(1, d), size)]
     est = sum((q ** (n ** len(s)) - 1) // max(q - 1, 1) * (q ** (n ** (d - len(s))) - 1)
               for s in partitions)
     if math.log2(max(est, 1)) > budget_bits:
         raise BudgetError("rank-one term enumeration", math.log2(est), budget_bits)
 
-    tensors: list[tuple[int, ...]] = []
-    terms: list[RankOneTerm] = []
-    index: dict[tuple[int, ...], int] = {}
-    for slots in partitions:
-        gsz, hsz = n ** len(slots), n ** (d - len(slots))
-        hs = _nonzero_coeff_vectors(q, hsz)
-        for g in _projective_coeff_vectors(q, gsz):
-            for h in hs:
-                term = RankOneTerm(slots, g, h)
-                t = term.expand(field, n, d)
-                if t not in index:
-                    index[t] = len(tensors)
-                    tensors.append(t)
-                    terms.append(term)
-    return tensors, terms, index
+    def term(slots, g, h):
+        t = RankOneTerm(slots, g, h)
+        return t.expand(field, n, d), t
+
+    return _catalog([(s, n ** len(s), n ** (d - len(s))) for s in partitions], q, term)
 
 
 def _matrix_prk_certificate(F: MultilinearForm) -> PrkResult:
@@ -327,14 +325,20 @@ def _slice_certificate(F: MultilinearForm) -> tuple[RankOneTerm, ...]:
     return tuple(terms)
 
 
-def _deepen(tensors: Sequence[tuple[int, ...]], index: dict, target: tuple[int, ...],
-            cap: int, sub, what: str) -> list[int] | None:
-    """Fewest catalog terms summing to target, by iterative deepening up to cap.
+def _fewest_terms(catalog, target: tuple[int, ...], cap: int, K, what: str,
+                  check) -> tuple:
+    """Fewest catalog terms summing to target, as a re-verified certificate.
 
-    Searches strictly increasing index sequences, depth 1 first, and returns
-    the first one found, or None. Nodes count across all depths against
-    SEARCH_NODE_LIMIT; BudgetError names the gate with what.
+    catalog starts with (tensors, terms, index). Iterative deepening up to
+    cap searches strictly increasing index sequences, depth 1 first; this is
+    complete because a fewest-term sum never repeats a catalog tensor (two
+    proportional terms merge into one). Nodes count across all depths
+    against SEARCH_NODE_LIMIT; BudgetError names the gate with what. The
+    caller's trivial decomposition has cap terms from the catalog, so a miss
+    is a bug, as is a certificate that check(certificate) rejects.
     """
+    tensors, terms, index = catalog[:3]
+    sub = K.sub
     nterms = len(tensors)
     nodes = 0
 
@@ -356,39 +360,29 @@ def _deepen(tensors: Sequence[tuple[int, ...]], index: dict, target: tuple[int, 
     for depth in range(1, cap + 1):
         found = search(target, depth, 0)
         if found is not None:
-            return found
-    return None
+            cert = tuple(terms[i] for i in found)
+            if not check(cert):
+                raise RuntimeError("certificate failed re-verification")
+            return cert
+    raise RuntimeError(f"{what}: missed the trivial decomposition; unreachable")
 
 
-def prk_exact_small(F: MultilinearForm, r_max: int | None = None,
-                    budget_bits: float = 24.0) -> PrkResult:
-    """Exact partition rank by iterative deepening, with certificate.
+def prk_exact_small(F: MultilinearForm, budget_bits: float = 24.0) -> PrkResult:
+    """Exact partition rank by the catalog search, with certificate.
 
-    Searches strictly increasing sequences of catalog terms; at minimal
-    depth every decomposition consists of pairwise non-proportional terms,
-    so this is complete. Intended regime: small q, n, d (the catalog must
-    be enumerable).
+    d = 2 takes matrix rank. Otherwise the cap is the slice decomposition,
+    one term per nonzero first slice. Intended regime: small q, n, d (the
+    catalog must be enumerable).
     """
     if F.is_zero():
         return PrkResult(0, 0, True, ())
     if F.d == 2:
         return _matrix_prk_certificate(F)
-
-    trivial = _slice_certificate(F)
-    cap = len(trivial) if r_max is None else min(r_max, len(trivial))
-    tensors, terms, index = rank_one_catalog(F.field, F.n, F.d, budget_bits)
-    found = _deepen(tensors, index, F.coeffs, cap, kernel(F.field).sub,
-                    "partition-rank search nodes")
-    if found is not None:
-        cert = tuple(terms[i] for i in found)
-        if not verify_rank_one_certificate(F, cert):
-            raise RuntimeError("certificate failed re-verification")
-        return PrkResult(len(cert), len(cert), True, cert)
-    # the slice decomposition lives in the catalog, so exhausting the full
-    # cap is impossible; only an externally lowered r_max lands here
-    if r_max is not None and r_max < len(trivial):
-        return PrkResult(r_max + 1, len(trivial), False, trivial)
-    raise RuntimeError("search missed the slice decomposition; unreachable")
+    cert = _fewest_terms(rank_one_catalog(F.field, F.n, F.d, budget_bits), F.coeffs,
+                         len(_slice_certificate(F)), kernel(F.field),
+                         "partition-rank search nodes",
+                         lambda c: verify_rank_one_certificate(F, c))
+    return PrkResult(len(cert), len(cert), True, cert)
 
 
 def prk_bounds(F: MultilinearForm, budget_bits: float = 24.0,
@@ -403,8 +397,6 @@ def prk_bounds(F: MultilinearForm, budget_bits: float = 24.0,
         return PrkResult(0, 0, True, ())
     ark = ark_exact(F, 1, ark_budget_bits).float_value
     lower = max(math.ceil(ark - 1e-9), 1)
-    if F.d == 2:
-        return _matrix_prk_certificate(F)
     try:
         exact = prk_exact_small(F, budget_bits=budget_bits)
     except BudgetError:
@@ -480,29 +472,18 @@ def product_catalog(field: FieldSpec, n: int, d: int, budget_bits: float = 22.0)
     K = kernel(field)
     basis_d = monomial_exponents(n, d)
     out_index = {exp: i for i, exp in enumerate(basis_d)}
-    est_bits = 0.0
-    for k in range(1, d // 2 + 1):
-        mg = len(monomial_exponents(n, k))
-        mh = len(monomial_exponents(n, d - k))
-        est_bits = max(est_bits, (mg + mh) * math.log2(q))
+    halves = [(k, monomial_exponents(n, k), monomial_exponents(n, d - k))
+              for k in range(1, d // 2 + 1)]
+    est_bits = max(((len(gb) + len(hb)) * math.log2(q) for _, gb, hb in halves), default=0.0)
     if est_bits > budget_bits:
         raise BudgetError("product term enumeration", est_bits, budget_bits)
 
-    tensors: list[tuple[int, ...]] = []
-    terms: list[ProductTerm] = []
-    index: dict[tuple[int, ...], int] = {}
-    for k in range(1, d // 2 + 1):
-        gb = monomial_exponents(n, k)
-        hb = monomial_exponents(n, d - k)
-        hs = _nonzero_coeff_vectors(q, len(hb))
-        for g in _projective_coeff_vectors(q, len(gb)):
-            for h in hs:
-                prod = _poly_multiply_dense(g, gb, h, hb, out_index, K)
-                if any(prod) and prod not in index:
-                    index[prod] = len(tensors)
-                    tensors.append(prod)
-                    terms.append(ProductTerm(k, g, h))
-    return tensors, terms, index, tuple(basis_d)
+    def term(part, g, h):
+        k, gb, hb = part
+        return _poly_multiply_dense(g, gb, h, hb, out_index, K), ProductTerm(k, g, h)
+
+    parts = [((k, gb, hb), len(gb), len(hb)) for k, gb, hb in halves]
+    return (*_catalog(parts, q, term), tuple(basis_d))
 
 
 def verify_strength_certificate(f: HomogeneousForm,
@@ -531,15 +512,11 @@ def str_exact_small(f: HomogeneousForm, budget_bits: float = 22.0) -> StrResult:
         return StrResult(0, True, ())
     if f.d < 2:
         raise ValueError("strength needs degree >= 2")
-    tensors, terms, index, basis = product_catalog(f.field, f.n, f.d, budget_bits)
-    target = _poly_dense(f, basis)
+    catalog = product_catalog(f.field, f.n, f.d, budget_bits)
+    target = _poly_dense(f, catalog[3])
     cap = sum(1 for v in target if v)  # every monomial splits off a variable
-    found = _deepen(tensors, index, target, cap, kernel(f.field).sub, "strength search nodes")
-    if found is None:
-        raise RuntimeError("monomial bound violated; unreachable")
-    cert = tuple(terms[i] for i in found)
-    if not verify_strength_certificate(f, cert):
-        raise RuntimeError("certificate failed re-verification")
+    cert = _fewest_terms(catalog, target, cap, kernel(f.field), "strength search nodes",
+                         lambda c: verify_strength_certificate(f, c))
     return StrResult(len(cert), True, cert)
 
 

@@ -38,7 +38,3 @@ class SplitMix64:
     def int_between(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends included."""
         return lo + self.below(hi - lo + 1)
-
-    def split(self) -> "SplitMix64":
-        """Child generator with a state derived from the next draw."""
-        return SplitMix64(self.next_u64())

@@ -9,19 +9,16 @@ fail it. A named suite (run_suite) adds up its checks' reports and stops
 at the first hard failure; when a directory is given, the tensor of that
 failing case is emitted there as a tensor file that re-loads and
 re-fails. Polynomial instances (the polar suite) are not emitted.
-minimize_failure, a greedy coefficient-zeroing minimizer, is not yet
-called by any suite.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from itertools import cycle, islice, product
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetError
 from .field import FieldSpec, embed, make_field
@@ -99,19 +96,6 @@ class VerifyReport:
 
 def _failure(relation: str, instance: dict, observed: dict) -> dict:
     return {"relation": relation, "instance": instance, "observed": observed}
-
-
-def minimize_failure(form, still_fails: Callable) -> object:
-    """Greedy coefficient zeroing: keep a zero whenever the check still fails."""
-    coeffs = list(form.coeffs)
-    for i in range(len(coeffs)):
-        if coeffs[i]:
-            saved = coeffs[i]
-            coeffs[i] = 0
-            cand = dataclasses.replace(form, coeffs=tuple(coeffs))
-            if not still_fails(cand):
-                coeffs[i] = saved
-    return dataclasses.replace(form, coeffs=tuple(coeffs))
 
 
 def _emit_counterexample(report: VerifyReport, out_dir) -> None:

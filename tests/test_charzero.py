@@ -103,6 +103,14 @@ def test_scan_estimate_uses_default_primes():
     assert scan.grk_estimate_Q == 1
 
 
+def test_scan_default_primes_fit_its_own_budget():
+    # the default prime list is drawn below the scan's budget, not a fixed 20 bits
+    G = random_int_form(3, 2, 3, 5)
+    scan = liminf_ark_scan(G, budget_bits=16)
+    assert len(scan.primes) == 25
+    assert all(G.n * (G.d - 2) * math.log2(p) <= 16 for p in scan.primes)
+
+
 def test_lift_search_xyz_example():
     G = int_diagonal(1, 1, 3)
     rep = lift_search(G, 100, 0.4)

@@ -635,11 +635,15 @@ SF_SHAPES = [(q, l, n, d) for q in (4, 5, 7, 8, 9) for l in (1, 2) for n in (1, 
 @given(st.sampled_from(SF_SHAPES), st.sampled_from(SF_KINDS), st.integers(0, 2 ** 32 - 1))
 def test_count_sf_line_kernel_matches_naive_property(shape, kind, s):
     """Reaches the interpolation (Q > n + 2), zeros of the interpolated
-    minor, lines of generic rank below n (diagonal m < n, zero, rank one)
-    and the lone point e_{n-1}."""
+    minor, lines of generic rank below n and the lone point e_{n-1}.
+    count_SF hands diagonal m < n, zero and rank-one forms to the line
+    kernel only as their concise core, so the kernel also counts each
+    drawn form as it stands, every slice singular for those kinds."""
     q, l, n, d = shape
     F = sf_test_form(kind, make_field(*FACTOR[q]), d, n, s)
-    assert count_SF(F, l) == count_SF_naive(F, l)
+    want = count_SF_naive(F, l)
+    assert count_SF(F, l) == want
+    assert counting._count_sf_lines(F, l) == want
 
 
 def count_SF_points(F, l=1):
@@ -1212,6 +1216,7 @@ def test_count_sf_frobenius_orbits_property(shape, kind, s):
     F = sf_test_form(kind, field, d, n, s)
     count = count_SF(F, l)
     assert count == count_SF_points(F, l)
+    assert counting._count_sf_lines(F, l) == count  # the full form, not its core
     if q ** (l * n * (d - 1)) <= 1 << 16:
         assert count == count_SF_naive(F, l)
     K = kernel(level_form(F, l).field)

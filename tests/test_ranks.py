@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -36,6 +38,7 @@ from multirank.tensor import (
     polarize,
     random_form,
     random_int_form,
+    random_poly,
 )
 from multirank.rng import SplitMix64
 
@@ -221,18 +224,37 @@ def test_prk_bounds_uses_ark_floor():
     assert prk_bounds(Z).lower == 0
 
 
-def test_prk_rmax_exceeded_returns_bounds():
-    D = diagonal(2, 2, 3, F2)
-    res = prk_exact_small(D, r_max=1)
-    assert not res.exact
-    assert res.lower == 2 and res.upper >= 2
-
-
 def test_prk_over_f4():
     F4 = make_field(2, 2)
     D = diagonal(2, 2, 3, F4)
     res = prk_exact_small(D)
     assert res.exact and res.lower == 2
+
+
+def test_certificate_bytes_are_pinned():
+    # reports print certificates, so the search must keep finding the same
+    # first decomposition: same catalog order, same deepening order
+    F4 = make_field(2, 2)
+    forms = [*all_tensors_f2_2_2_3(), *(diagonal(m, 3, 3, F2) for m in range(3)),
+             *(random_form(K, 3, 2, s) for K in (F3, F4, F5) for s in range(1, 6)),
+             *(random_form(F2, 4, 2, s) for s in range(1, 4))]
+    polys = [*(random_poly(F5, 3, 2, s) for s in range(1, 21)),
+             *(random_poly(F3, 2, 3, s) for s in range(1, 6))]
+    blob = json.dumps({"prk": [prk_exact_small(F).to_dict() for F in forms],
+                       "str": [str_exact_small(f).to_dict() for f in polys]}, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "39b641daa46c77d4982484d69ca4ab983d14959d2a0ab34e96374c6bbf9c0411")
+
+
+@pytest.mark.parametrize("check, search", [
+    ("verify_rank_one_certificate", lambda: prk_exact_small(diagonal(2, 2, 3, F2))),
+    ("verify_strength_certificate",
+     lambda: str_exact_small(HomogeneousForm.from_terms(F5, 2, 3, {(2, 1): 1}))),
+], ids=["prk", "str"])
+def test_search_reports_no_certificate_that_fails_recheck(monkeypatch, check, search):
+    monkeypatch.setattr(f"multirank.ranks.{check}", lambda *_: False)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        search()
 
 
 # -- strength -----------------------------------------------------------------
@@ -268,7 +290,6 @@ def test_str_sum_of_cubes_is_one():
 
 def test_str_generic_binary_cubic_is_at_most_two():
     rng = SplitMix64(99)
-    from multirank.tensor import random_poly
     for _ in range(10):
         f = random_poly(F5, 3, 2, rng.next_u64())
         if f.is_zero():

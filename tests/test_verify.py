@@ -22,7 +22,6 @@ from multirank.tensorio import form_from_dict, form_to_dict, load_tensor
 from multirank.verify import (
     VerifyReport,
     lift_height_bound,
-    minimize_failure,
     run_suite,
     verify_eval_fibers,
     verify_lift_threshold,
@@ -259,17 +258,6 @@ def test_report_elapsed_excluded_by_default():
     rep = verify_eval_fibers(diagonal(1, 1, 3, F2), 2)
     assert "elapsed" not in rep.to_dict()
     assert "elapsed" in rep.to_dict(include_elapsed=True)
-
-
-def test_minimizer_greedy_zeroing():
-    F = diagonal(2, 2, 3, F2)
-
-    def fails(cand):
-        return cand.coeff((0, 0, 0)).index == 1  # "bug" keyed to one entry
-
-    small = minimize_failure(F, fails)
-    assert small.coeff((0, 0, 0)).index == 1
-    assert sum(1 for _ in small.entries()) == 1
 
 
 def test_counterexample_emission_and_refail(tmp_path):
