@@ -29,8 +29,6 @@ ESTIMATE_GAP = 0.25
 
 def reduce_mod_p(F: IntMultilinearForm, p: int) -> MultilinearForm:
     """Entry-wise reduction to F_p; evaluation commutes with reduction."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
     spec = make_field(p)
     return MultilinearForm(spec, F.d, F.n, tuple(c % p for c in F.coeffs))
 

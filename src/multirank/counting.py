@@ -63,12 +63,14 @@ a binary form of degree R-1, so GL_2(F_q), acting on every block at once,
 and scaling one block map the solutions to solutions: count_NR ranks one
 prefix per orbit, weighted by its size. fiber_counts keys its counts by
 the prefix mod t^b, which of those substitutions only t -> c t keeps;
-but F(u x, y, e_i) = u F(x, y, e_i) for every unit u of F_q[t]/t^a, so
-u x has the same last-block kernel as x. One system is solved per unit
-orbit of the last prefix block, and the orbit's keys are its unit
-multiples mod t^b. count_singular evaluates the origin and the
-projective points. The literal enumerations stay as oracles
-(multirank.oracles.count_fiber, and in the tests).
+but F(.., u x, .., e_i) = u F(.., x, .., e_i) for every unit u of
+F_q[t]/t^a, so scaling any prefix block by a unit keeps the last block's
+kernel. One system is solved per tuple of unit orbits, one orbit per
+prefix block. Each orbit carries its keys mod t^b and its weight, the
+number of its elements over each key; a tuple of keys, one per block,
+is hit by the product of the weights. count_singular evaluates the
+origin and the projective points. The literal enumerations stay as
+oracles (multirank.oracles.count_fiber, and in the tests).
 Budget gates keep their full-space exponents (count_SF gates the full n
 before it takes the concise core) and raise BudgetError naming the
 offending one; nothing is silently truncated.
@@ -625,13 +627,6 @@ def count_singular(f: HomogeneousForm, l: int = 1,
 # polynomial-ring solution counts N_R
 # ---------------------------------------------------------------------------
 
-def _blocks(digits: tuple[int, ...], nblocks: int, n: int,
-            deg: int) -> list[list[tuple[int, ...]]]:
-    """Cut flat digits into nblocks vectors of n polynomials, deg coefficients each."""
-    return [[digits[(k * n + j) * deg:(k * n + j + 1) * deg] for j in range(n)]
-            for k in range(nblocks)]
-
-
 def _contract_poly_first(flat: Sequence[Sequence[int]], slots: int, n: int,
                          vec: Sequence[Sequence[int]], K, trunc: int | None) -> list[tuple[int, ...]]:
     block = n ** (slots - 1)
@@ -668,50 +663,33 @@ def _last_block_system(M: Sequence[Sequence[int]], n: int, R: int,
     return rows
 
 
-def _prefix_systems(F: MultilinearForm, K, a: int):
-    """Yield (head, x, size, rows): one last-block system of fiber_counts per orbit.
-
-    head runs over the first d-3 prefix blocks, x over one representative
-    per orbit of the units of F_q[t]/t^a on the last prefix block
-    (_unit_orbits), size is the orbit's size and rows the system of the
-    last block, mod t^a. F has constant coefficients, so u * x has the
-    system u * rows for a unit u: the same kernel. With d = 2 there is no
-    prefix, and ((), (), 1, rows) is the one yield.
-    """
-    n, d = F.n, F.d
-    coeffs0: list[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
-    if d == 2:
-        yield (), (), 1, _last_block_system(coeffs0, n, a, a)
-        return
-    orbits = _unit_orbits(K, n, a)
-    for digits in product(range(K.q), repeat=n * a * (d - 3)):
-        head = _blocks(digits, d - 3, n, a)
-        cur = coeffs0
-        for slots, v in enumerate(head):
-            cur = _contract_poly_first(cur, d - slots, n, v, K, a)
-        for x, size in orbits:
-            yield head, x, size, _last_block_system(_contract_poly_first(cur, 3, n, x, K, a),
-                                                    n, a, a)
-
-
 @functools.lru_cache(maxsize=None)
-def _unit_orbits(K, n: int, a: int) -> tuple:
-    """(x, size) per orbit of the units of F_q[t]/t^a on its n-vectors.
+def _unit_orbits(K, n: int, a: int, b: int) -> tuple:
+    """(x, keys, weight) per orbit of the units of F_q[t]/t^a on its n-vectors.
 
     x is n coefficient tuples of length a (t^0 first). The units are
     generated by g, a generator of F_q^*, and 1 + c t^k for k = 1..a-1
-    and c in an F_p-basis of F_q. If v is the least valuation in x, the
-    stabiliser is the units = 1 mod t^(a-v), so the orbit has
-    (q-1) q^(a-1-v) elements; the zero vector is its own orbit. Orbits
-    are named by their first tuple in product order.
+    and c in an F_p-basis of F_q. keys are the distinct u * x mod t^b,
+    sorted, over the units u mod t^b; each is hit by weight elements of
+    the orbit. If v is the least valuation in x, the stabiliser is the
+    units = 1 mod t^(a-v), so the orbit has (q-1) q^(a-1-v) elements and
+    weight is q^(a-b) when v < b; when v >= b the one key is 0 and weight
+    is the orbit's size. The zero vector is its own orbit. Orbits are
+    named by their first tuple in product order.
     """
     q, p = K.q, K.p
     polys = list(product(range(q), repeat=a))
     index = {c: i for i, c in enumerate(polys)}
     g = _unit_generator(K)
     units = [(g,)] + [(1,) + (0,) * (k - 1) + (p ** i,) for k in range(1, a) for i in range(K.e)]
-    return _orbit_reps(polys, n, [[[index[_poly_mul_trunc(u, c, K, a)] for c in polys]] * n
-                                  for u in units])
+    orbits = _orbit_reps(polys, n, [[[index[_poly_mul_trunc(u, c, K, a)] for c in polys]] * n
+                                    for u in units])
+    units_b = list(product(range(1, q), *[range(q)] * (b - 1)))
+    out = []
+    for x, size in orbits:
+        keys = sorted({tuple(_poly_mul_trunc(u, c[:b], K, b) for c in x) for u in units_b})
+        out.append((x, tuple(keys), size // len(keys)))
+    return tuple(out)
 
 
 def _unit_generator(K) -> int:
@@ -800,16 +778,14 @@ def fiber_counts(F: MultilinearForm, a: int, b: int,
                  budget_bits: float = DEFAULT_BUDGET_BITS) -> dict[tuple, int]:
     """Histogram {y: N^y} over all reduction targets at once.
 
-    Enumerates the first d-3 blocks fully and the last prefix block one
-    orbit of units u of F_q[t]/t^a at a time (_prefix_systems): u * x has
-    the same last-block kernel as x. The kernel basis, reduced mod t^b,
-    spans the kernel's image; each of its q^rank points is hit by
-    q^(dim kernel - rank) solutions. If x has least valuation v >= b, the
-    whole orbit is 0 mod t^b: one prefix key, weighted by the orbit's
-    size. Otherwise its keys are u * x mod t^b, which depends on u mod
-    t^(b-v) only; those (q-1) q^(b-1-v) units give each key once, and
-    each key is hit by q^(a-b) points of the orbit. Values agree with
-    oracles.count_fiber entry by entry; the order of the keys is unspecified.
+    Walks the d-2 prefix blocks one orbit of units u of F_q[t]/t^a per
+    block (_unit_orbits): F has constant coefficients, so scaling any
+    prefix block by a unit scales the last block's system by it and keeps
+    its kernel. The kernel basis, reduced mod t^b, spans the kernel's
+    image; each of its q^rank points is hit by q^(dim kernel - rank)
+    solutions. Each tuple of the orbits' keys is hit by the product of
+    their weights. Values agree with oracles.count_fiber entry by entry;
+    the order of the keys is unspecified.
     """
     if not (0 <= b <= a):
         raise ValueError("need 0 <= b <= a")
@@ -825,26 +801,20 @@ def fiber_counts(F: MultilinearForm, a: int, b: int,
     # the other free columns reduce to 0 and the rest to a basis of the image
     order = sorted(range(n * a), key=lambda i: i % a < b)
     cut = n * (a - b)
-    for head, x, size, rows in _prefix_systems(F, K, a):
+    coeffs0: list[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
+    for prefix in product(_unit_orbits(K, n, a, b), repeat=d - 2):
+        cur = coeffs0
+        for slots, (x, _, _) in enumerate(prefix):
+            cur = _contract_poly_first(cur, d - slots, n, x, K, a)
+        rows = _last_block_system(cur, n, a, a)
         basis = nullspace_basis([[r[i] for i in order] for r in rows], n * a, K)
         image = [v[cut:] for v in basis if any(v[cut:])]
-        mult = q ** (len(basis) - len(image))
+        mult = q ** (len(basis) - len(image)) * math.prod(w for _, _, w in prefix)
         tails = [tuple(z[j * b:(j + 1) * b] for j in range(n))
                  for z in span_vectors(image, K, n * b)]
-        key = tuple(tuple(p[:b] for p in v) for v in head)
-        val = min([s for p in x for s, c in enumerate(p) if c] + [a])
-        if d == 2:
-            keys = [key]
-        elif val >= b:
-            keys = [key + (((0,) * b,) * n,)]
-            mult *= size
-        else:
-            keys = [key + (tuple(_poly_mul_trunc(u, p[:b], K, b) for p in x),)
-                    for u in product(range(1, q), *[range(q)] * (b - 1 - val))]
-            mult *= q ** (a - b)
-        for k in keys:
+        for key in product(*[keys for _, keys, _ in prefix]):
             for z in tails:
-                hist[k + (z,)] = hist.get(k + (z,), 0) + mult
+                hist[key + (z,)] = hist.get(key + (z,), 0) + mult
     return hist
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -456,6 +457,23 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
 # field specs and elements
 # ---------------------------------------------------------------------------
 
+def _check_field(p: int, e: int) -> None:
+    """ValueError unless p is prime and e >= 1; BudgetError past MAX_FIELD_SIZE.
+
+    The size gate runs in log space before the primality test: trial
+    division of a huge p, or p ** e for a huge e, would take hours.
+    """
+    if p < 2:
+        raise ValueError(f"p = {p} is not prime")
+    if e < 1:
+        raise ValueError("extension degree must be >= 1")
+    bits, limit = e * math.log2(p), math.log2(MAX_FIELD_SIZE)
+    if bits > limit:
+        raise BudgetError("field size p^e", bits, limit)
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """F_{p^e} with an explicit monic irreducible modulus (constant term first)."""
@@ -465,13 +483,7 @@ class FieldSpec:
     modulus: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.e < 1:
-            raise ValueError("extension degree must be >= 1")
-        q = self.p ** self.e
-        if q > MAX_FIELD_SIZE:
-            raise BudgetError("field size p^e", q.bit_length() - 1, 20)
+        _check_field(self.p, self.e)
         object.__setattr__(self, "modulus", tuple(int(c) for c in self.modulus))
         if len(self.modulus) != self.e + 1:
             raise ValueError(f"modulus must have degree {self.e}")
@@ -524,12 +536,7 @@ class FieldSpec:
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, e: int = 1) -> FieldSpec:
     """Canonical FieldSpec for F_{p^e}; deterministic across runs and platforms."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if e < 1:
-        raise ValueError("extension degree must be >= 1")
-    if p ** e > MAX_FIELD_SIZE:
-        raise BudgetError("field size p^e", (p ** e).bit_length() - 1, 20)
+    _check_field(p, e)
     return FieldSpec(p, e, _canonical_modulus(p, e))
 
 

@@ -12,10 +12,17 @@ import math
 from itertools import product
 from typing import Sequence
 
-from .counting import DEFAULT_BUDGET_BITS, _blocks, _contract_poly_first
+from .counting import DEFAULT_BUDGET_BITS, _contract_poly_first
 from .errors import BudgetError
 from .field import kernel
 from .tensor import MultilinearForm
+
+
+def _blocks(digits: tuple[int, ...], nblocks: int, n: int,
+            deg: int) -> list[list[tuple[int, ...]]]:
+    """Cut flat digits into nblocks vectors of n polynomials, deg coefficients each."""
+    return [[digits[(k * n + j) * deg:(k * n + j + 1) * deg] for j in range(n)]
+            for k in range(nblocks)]
 
 
 def count_fiber(F: MultilinearForm, a: int, b: int, y: Sequence,

@@ -402,9 +402,7 @@ def prk_bounds(F: MultilinearForm, budget_bits: float = 24.0,
     except BudgetError:
         cert = _slice_certificate(F)
         upper = len(cert)
-        if lower == upper:
-            return PrkResult(lower, upper, True, cert)
-        return PrkResult(lower, upper, False, cert)
+        return PrkResult(lower, upper, lower == upper, cert)
     if exact.lower < lower:
         raise RuntimeError("search found a decomposition below the analytic floor")
     return exact

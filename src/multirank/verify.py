@@ -301,18 +301,18 @@ def verify_rank_chain(corpus: Sequence[MultilinearForm], l_max: int = 8,
                 pr = prk_exact_small(F)
             except BudgetError:
                 pr = None
-            if pr is not None and pr.exact and est.stabilized is not None:
+            if pr is not None and est.stabilized is not None:
                 if est.stabilized > pr.upper:
                     rep.advisories.append(_failure(
                         "grk_hat <= prk (advisory: finite-field status open)", inst,
                         {"grk_hat": est.stabilized, "prk": pr.upper}))
-            if check_extension_prk and pr is not None and pr.exact:
+            if check_extension_prk and pr is not None:
                 Fl = level_form(F, 2)
                 try:
                     prl = prk_exact_small(Fl)
                 except BudgetError:
                     prl = None
-                if prl is not None and prl.exact:
+                if prl is not None:
                     rep.cases += 1
                     if pr.lower > 2 * prl.lower:
                         rep.failures.append(_failure(

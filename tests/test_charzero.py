@@ -12,6 +12,7 @@ from multirank.charzero import (
     liminf_ark_scan,
     reduce_mod_p,
 )
+from multirank.errors import BudgetError
 from multirank.field import is_prime
 from multirank.counting import count_SF
 from multirank.tensor import IntMultilinearForm, int_diagonal, random_int_form
@@ -46,6 +47,16 @@ def test_reduce_commutes_with_eval():
 def test_reduce_rejects_composite():
     with pytest.raises(ValueError):
         reduce_mod_p(int_diagonal(1, 1, 3), 6)
+
+
+def test_reduce_huge_prime_is_a_budget_stop(monkeypatch):
+    def never(p):
+        raise AssertionError(f"primality tested on a field past the gate: {p}")
+
+    monkeypatch.setattr("multirank.field.is_prime", never)
+    monkeypatch.setattr("multirank.charzero.is_prime", never)
+    with pytest.raises(BudgetError):
+        reduce_mod_p(int_diagonal(1, 1, 3), 2 ** 89 - 1)
 
 
 def test_scan_diagonal_closed_form_small_primes():

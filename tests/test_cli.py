@@ -284,6 +284,15 @@ def test_exit_codes_budget_and_input(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("field, code", [({"p": 2 ** 89 - 1}, EXIT_BUDGET),
+                                         ({"p": 3, "e": 10 ** 8}, EXIT_BUDGET),
+                                         ({"p": 6}, EXIT_INPUT)])
+def test_field_size_gate_runs_before_the_primality_test(tmp_path, capsys, field, code):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"field": field, "d": 3, "n": 2, "entries": []}))
+    assert run_cli(["count", "--tensor", str(path)], capsys)[0] == code
+
+
 def test_oversized_integer_tensor_is_a_budget_stop(tmp_path, capsys, no_draws):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"field": "Z", "d": 30, "n": 10, "entries": []}))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import itertools
@@ -537,6 +538,22 @@ def test_count_singular_matches_direct_evaluation_property(q, n, d, l, s):
     assert count_singular(f, l) == direct
 
 
+@pytest.mark.parametrize("spec, n, a, b", [(F2, 1, 3, 2), (F3, 1, 3, 2), (F2, 2, 2, 2)])
+def test_fiber_counts_d4_head_blocks_match_count_fiber(spec, n, a, b):
+    """d = 4: the first prefix block is walked by unit orbits too. With
+    0 < v < b, as for x = t over F_q[t]/t^3 mod t^2, a head block's keys
+    are u * x mod t^b, each weighted q^(a-b) like the last block's."""
+    F = random_form(spec, 4, n, 41 + n)
+    assert any(F.coeffs)
+    hist = fiber_counts(F, a, b)
+    q = spec.q
+    targets = itertools.product(itertools.product(itertools.product(range(q), repeat=b),
+                                                  repeat=n), repeat=3)
+    for y in targets:
+        assert count_fiber(F, a, b, y) == hist.get(y, 0), y
+    assert sum(hist.values()) == count_fiber(F, a, 0, zero_fiber_target(F, 0))
+
+
 @seed(20241004)
 @settings(max_examples=60, deadline=None)
 @given(small_forms(), st.data())
@@ -577,23 +594,33 @@ ORBIT_COUNTS = {(3, 2, 3): 53, (2, 2, 4): 46}
 def test_unit_orbits_partition_the_vectors(q, n, a):
     """The orbits of the listed vectors, found by multiplying them by every
     unit, are disjoint and cover (F_q[t]/t^a)^n; each has (q-1) q^(a-1-v)
-    elements, v the least valuation, and the zero vector is alone."""
+    elements, v the least valuation, and the zero vector is alone. For each
+    b in 0..a, the orbit's elements mod t^b take exactly the listed keys,
+    each weight times."""
     K = kernel(FIELDS[q])
     products = unit_products(K, a)
-    index = {c: j for j, c in enumerate(itertools.product(range(q), repeat=a))}
+    polys = list(itertools.product(range(q), repeat=a))
+    index = {c: j for j, c in enumerate(polys)}
     place = [q ** (a * (n - 1 - j)) for j in range(n)]
+    tables = [counting._unit_orbits(K, n, a, b) for b in range(a + 1)]
     seen = bytearray(q ** (n * a))
-    orbits = counting._unit_orbits(K, n, a)
-    for x, size in orbits:
+    for i, (x, _, _) in enumerate(tables[0]):
         digits = [index[c] for c in x]
-        orbit = {sum(row[i] * w for i, w in zip(digits, place)) for row in products}
-        for i in orbit:
-            assert not seen[i], (x, "meets an earlier orbit")
-            seen[i] = 1
+        orbit = {tuple(row[k] for k in digits) for row in products}
+        for y in orbit:
+            j = sum(k * w for k, w in zip(y, place))
+            assert not seen[j], (x, "meets an earlier orbit")
+            seen[j] = 1
         v = min([s for c in x for s, c_s in enumerate(c) if c_s] + [a])
-        assert size == len(orbit) == ((q - 1) * q ** (a - 1 - v) if v < a else 1), x
+        assert len(orbit) == ((q - 1) * q ** (a - 1 - v) if v < a else 1), x
+        for b, table in enumerate(tables):
+            xb, keys, weight = table[i]
+            hits = collections.Counter(tuple(polys[k][:b] for k in y) for y in orbit)
+            assert xb == x and list(keys) == sorted(hits), (x, b)
+            assert set(hits.values()) == {weight}, (x, b)
     assert all(seen)
-    assert len(orbits) == ORBIT_COUNTS.get((q, n, a), len(orbits))
+    assert all(len(table) == len(tables[0]) for table in tables)
+    assert len(tables[0]) == ORBIT_COUNTS.get((q, n, a), len(tables[0]))
 
 
 def rank_one_form(field, d, n, s):

@@ -139,6 +139,21 @@ def test_make_field_rejects_nonprime_and_budget():
         make_field(1048583, 1)  # prime above 2^20
 
 
+def test_huge_field_is_a_budget_stop_before_primality(monkeypatch):
+    """The size gate runs in log space before trial division and p ** e:
+    2^89 - 1 would take about 10^13 divisions, 3^(10^8) seconds to form."""
+    def never(p):
+        raise AssertionError(f"primality tested on a field past the gate: {p}")
+
+    monkeypatch.setattr("multirank.field.is_prime", never)
+    with pytest.raises(BudgetError):
+        make_field(2 ** 89 - 1)
+    with pytest.raises(BudgetError):
+        FieldSpec(2 ** 89 - 1, 1, (0, 1))
+    with pytest.raises(BudgetError):
+        make_field(3, 10 ** 8)
+
+
 def test_field_spec_rejects_bad_modulus():
     with pytest.raises(ValueError):
         FieldSpec(2, 2, (0, 0, 1))  # x^2 is reducible
