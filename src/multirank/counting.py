@@ -68,9 +68,15 @@ F_q[t]/t^a, so scaling any prefix block by a unit keeps the last block's
 kernel. One system is solved per tuple of unit orbits, one orbit per
 prefix block. Each orbit carries its keys mod t^b and its weight, the
 number of its elements over each key; a tuple of keys, one per block,
-is hit by the product of the weights. count_singular evaluates the
-origin and the projective points. The literal enumerations stay as
-oracles (multirank.oracles.count_fiber, and in the tests).
+is hit by the product of the weights. Before building a system, both
+try points: where F(x^(1)(t0), ..., x^(d-2)(t0), ., .) is invertible
+over F_q, the system is not built. count_NR tries t0 = 0, infinity (the
+coefficients of t^(R-1)) and t0 = 1..q-1; a nonzero determinant at any
+of them makes det F(x, ., .) a nonzero binary form, so the system has
+rank nR. fiber_counts tries t0 = 0 alone: the matrix is then a unit mod
+t^a and the kernel is 0. count_singular evaluates the origin and the
+projective points. The literal enumerations stay as oracles
+(multirank.oracles.count_fiber, and in the tests).
 Budget gates keep their full-space exponents (count_SF gates the full n
 before it takes the concise core) and raise BudgetError naming the
 offending one; nothing is silently truncated.
@@ -664,30 +670,43 @@ def _last_block_system(M: Sequence[Sequence[int]], n: int, R: int,
 
 
 @functools.lru_cache(maxsize=None)
-def _unit_orbits(K, n: int, a: int, b: int) -> tuple:
-    """(x, keys, weight) per orbit of the units of F_q[t]/t^a on its n-vectors.
+def _unit_partition(K, n: int, a: int) -> tuple:
+    """(x, size) per orbit of the units of F_q[t]/t^a on its n-vectors.
 
     x is n coefficient tuples of length a (t^0 first). The units are
     generated by g, a generator of F_q^*, and 1 + c t^k for k = 1..a-1
-    and c in an F_p-basis of F_q. keys are the distinct u * x mod t^b,
-    sorted, over the units u mod t^b; each is hit by weight elements of
-    the orbit. If v is the least valuation in x, the stabiliser is the
-    units = 1 mod t^(a-v), so the orbit has (q-1) q^(a-1-v) elements and
-    weight is q^(a-b) when v < b; when v >= b the one key is 0 and weight
-    is the orbit's size. The zero vector is its own orbit. Orbits are
-    named by their first tuple in product order.
+    and c in an F_p-basis of F_q. If v is the least valuation in x, the
+    stabiliser is the units = 1 mod t^(a-v), so the orbit has
+    (q-1) q^(a-1-v) elements. The zero vector is its own orbit. Orbits
+    are named by their first tuple in product order.
     """
     q, p = K.q, K.p
     polys = list(product(range(q), repeat=a))
     index = {c: i for i, c in enumerate(polys)}
     g = _unit_generator(K)
     units = [(g,)] + [(1,) + (0,) * (k - 1) + (p ** i,) for k in range(1, a) for i in range(K.e)]
-    orbits = _orbit_reps(polys, n, [[[index[_poly_mul_trunc(u, c, K, a)] for c in polys]] * n
-                                    for u in units])
-    units_b = list(product(range(1, q), *[range(q)] * (b - 1)))
+    return _orbit_reps(polys, n, [[[index[_poly_mul_trunc(u, c, K, a)] for c in polys]] * n
+                                  for u in units])
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_orbits(K, n: int, a: int, b: int) -> tuple:
+    """(x, keys, weight) per orbit of _unit_partition(K, n, a).
+
+    keys are the distinct u * x mod t^b, sorted, over the units u mod t^b;
+    each is hit by weight elements of the orbit: q^(a-b) when the least
+    valuation v in x is below b; when v >= b the one key is 0 and weight
+    is the orbit's size.
+    """
+    units_b = list(product(range(1, K.q), *[range(K.q)] * (b - 1)))
+
+    @functools.cache
+    def multiples(c: tuple) -> list:
+        return [_poly_mul_trunc(u, c, K, b) for u in units_b]
+
     out = []
-    for x, size in orbits:
-        keys = sorted({tuple(_poly_mul_trunc(u, c[:b], K, b) for c in x) for u in units_b})
+    for x, size in _unit_partition(K, n, a):
+        keys = sorted(set(zip(*[multiples(c[:b]) for c in x])))
         out.append((x, tuple(keys), size // len(keys)))
     return tuple(out)
 
@@ -729,6 +748,35 @@ def _prefix_orbits(K, n: int, R: int, blocks: int) -> tuple:
     return _orbit_reps(polys, k, gens)
 
 
+def _invertible_at_a_point(F: MultilinearForm, blocks: Sequence[Sequence[Sequence[int]]],
+                           K) -> bool:
+    """Whether F(x^(1)(t0), ..., x^(d-2)(t0), ., .) is invertible at some t0 in P^1(F_q).
+
+    blocks are the d-2 prefix vectors, each n coefficient tuples of one
+    length R (t^0 first). The points are tried in the order t0 = 0 (the
+    constant coefficients), infinity (the coefficients of t^(R-1)), then
+    t0 = 1..q-1 by Horner's rule; with R = 1 or no blocks every point
+    gives the same matrix. det F(x(s, t), ., .), homogenised, is a binary
+    form of degree n(d-2)(R-1), so a point where it is nonzero proves the
+    last block's system over F_q(t) has only y = 0. The answer is constant
+    on an orbit of _prefix_orbits, whose maps permute P^1(F_q) and scale
+    the matrix by nonzero factors.
+    """
+    n, add, mul = F.n, K.add, K.mul
+
+    def unit(at) -> bool:
+        return _rank_det(F._contract_prefix([[at(c) for c in x] for x in blocks]), n, K)[1] != 0
+
+    if unit(operator.itemgetter(0)):
+        return True
+    if not blocks or len(blocks[0][0]) == 1:
+        return False
+    if unit(operator.itemgetter(-1)):
+        return True
+    return any(unit(lambda c: functools.reduce(lambda v, s: add(mul(v, t0), s), reversed(c)))
+               for t0 in range(1, K.q))
+
+
 def count_NR(F: MultilinearForm, R: int,
              budget_bits: float = DEFAULT_BUDGET_BITS) -> int:
     """Solutions x in (F_q[t]^n)^(d-1), entry degrees < R, with F(x, e_i) = 0 for all i.
@@ -740,7 +788,10 @@ def count_NR(F: MultilinearForm, R: int,
     the equations F(x, e_i) = 0, homogenised of degree (d-1)(R-1), are
     carried along by the same change of (s, t). With scaling each block by
     F_q^*, the prefix count is constant on an orbit: one representative per
-    orbit is ranked, weighted by the orbit's size (_prefix_orbits).
+    orbit is ranked, weighted by the orbit's size (_prefix_orbits). A
+    representative whose F(x(t0), ., .) is invertible at some t0 in
+    P^1(F_q) has rank nR and adds its weight without a system
+    (_invertible_at_a_point).
     """
     if R < 1:
         raise ValueError("degree bound R must be >= 1")
@@ -757,9 +808,13 @@ def count_NR(F: MultilinearForm, R: int,
     coeffs0: Sequence[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
     total = 0
     for prefix, w in _prefix_orbits(K, n, R, d - 2):
+        blocks = [prefix[k * n:(k + 1) * n] for k in range(d - 2)]
+        if _invertible_at_a_point(F, blocks, K):
+            total += w
+            continue
         cur = coeffs0
-        for k in range(d - 2):
-            cur = _contract_poly_first(cur, d - k, n, prefix[k * n:(k + 1) * n], K, None)
+        for k, x in enumerate(blocks):
+            cur = _contract_poly_first(cur, d - k, n, x, K, None)
         rows = _last_block_system(cur, n, R, (d - 1) * (R - 1) + 1)
         total += w * q ** (unknowns - matrix_rank(rows, unknowns, K))
     return total
@@ -784,8 +839,11 @@ def fiber_counts(F: MultilinearForm, a: int, b: int,
     its kernel. The kernel basis, reduced mod t^b, spans the kernel's
     image; each of its q^rank points is hit by q^(dim kernel - rank)
     solutions. Each tuple of the orbits' keys is hit by the product of
-    their weights. Values agree with oracles.count_fiber entry by entry;
-    the order of the keys is unspecified.
+    their weights. When a >= 1 and F(x^(1)(0), ..., x^(d-2)(0), ., .) is
+    invertible, the last block's matrix is a unit over F_q[t]/t^a and its
+    kernel is 0, so no system is built. Values agree with
+    oracles.count_fiber entry by entry; the order of the keys is
+    unspecified.
     """
     if not (0 <= b <= a):
         raise ValueError("need 0 <= b <= a")
@@ -803,11 +861,14 @@ def fiber_counts(F: MultilinearForm, a: int, b: int,
     cut = n * (a - b)
     coeffs0: list[Sequence[int]] = [(c,) if c else () for c in F.coeffs]
     for prefix in product(_unit_orbits(K, n, a, b), repeat=d - 2):
-        cur = coeffs0
-        for slots, (x, _, _) in enumerate(prefix):
-            cur = _contract_poly_first(cur, d - slots, n, x, K, a)
-        rows = _last_block_system(cur, n, a, a)
-        basis = nullspace_basis([[r[i] for i in order] for r in rows], n * a, K)
+        if a and _rank_det(F._contract_prefix([[c[0] for c in x] for x, _, _ in prefix]), n, K)[1]:
+            basis = []
+        else:
+            cur = coeffs0
+            for slots, (x, _, _) in enumerate(prefix):
+                cur = _contract_poly_first(cur, d - slots, n, x, K, a)
+            rows = _last_block_system(cur, n, a, a)
+            basis = nullspace_basis([[r[i] for i in order] for r in rows], n * a, K)
         image = [v[cut:] for v in basis if any(v[cut:])]
         mult = q ** (len(basis) - len(image)) * math.prod(w for _, _, w in prefix)
         tails = [tuple(z[j * b:(j + 1) * b] for j in range(n))

@@ -538,13 +538,23 @@ def test_count_singular_matches_direct_evaluation_property(q, n, d, l, s):
     assert count_singular(f, l) == direct
 
 
-@pytest.mark.parametrize("spec, n, a, b", [(F2, 1, 3, 2), (F3, 1, 3, 2), (F2, 2, 2, 2)])
+@pytest.mark.parametrize("spec, n, a, b", [(F2, 1, 3, 2), (F3, 1, 3, 2), (F2, 2, 2, 2),
+                                           (F2, 2, 2, 1)])
 def test_fiber_counts_d4_head_blocks_match_count_fiber(spec, n, a, b):
     """d = 4: the first prefix block is walked by unit orbits too. With
     0 < v < b, as for x = t over F_q[t]/t^3 mod t^2, a head block's keys
-    are u * x mod t^b, each weighted q^(a-b) like the last block's."""
+    are u * x mod t^b, each weighted q^(a-b) like the last block's. Whether
+    F(x^(1)(0), x^(2)(0), ., .) is invertible, which skips the last block's
+    system, depends on both prefix blocks: some tuples of orbits with the
+    same x^(1)(0) != 0 pass and others fail."""
     F = random_form(spec, 4, n, 41 + n)
     assert any(F.coeffs)
+    K = kernel(spec)
+    passes = collections.defaultdict(set)
+    for (x, _, _), (z, _, _) in itertools.product(counting._unit_orbits(K, n, a, b), repeat=2):
+        x0, z0 = [c[0] for c in x], [c[0] for c in z]
+        passes[tuple(x0)].add(leibniz_det(F._contract_prefix([x0, z0]), n, K) != 0)
+    assert any(v == {True, False} for x0, v in passes.items() if any(x0))
     hist = fiber_counts(F, a, b)
     q = spec.q
     targets = itertools.product(itertools.product(itertools.product(range(q), repeat=b),
@@ -1253,29 +1263,36 @@ def test_count_sf_frobenius_orbits_property(shape, kind, s):
         assert_frobenius_orbits(K, n, d - 3, field.e)  # contracted prefixes
 
 
-def count_NR_prefixes(F, R):
-    """Oracle for count_NR: one exact rank per prefix tuple, no symmetry.
-
-    For each prefix of d-2 blocks, M[j*n + i] = F(prefix, e_j, e_i) is
-    multiplied out term by term, and the last block's system is ranked.
-    """
+def prefix_matrix(F, R, prefix):
+    """M[j*n + i] = F(prefix, e_j, e_i) for d-2 blocks of n polynomials of
+    degree < R, multiplied out term by term: (d-2)(R-1) + 1 coefficients each."""
     K = kernel(F.field)
-    q, n, d = K.q, F.n, F.d
+    n, d = F.n, F.d
+    M = []
+    for j, i in itertools.product(range(n), repeat=2):
+        acc = [0] * ((d - 2) * (R - 1) + 1)
+        for idx in itertools.product(range(n), repeat=d - 2):
+            term = [F.coeff(idx + (j, i)).index]
+            for block, m in zip(prefix, idx):
+                term = poly_mul(K, term, block[m])
+            acc = [K.add(x, y) for x, y in zip(acc, term)]
+        M.append(acc)
+    return M
+
+
+def prefix_rank(F, R, prefix):
+    """Rank of the last block's system for one prefix, from prefix_matrix."""
+    n, d = F.n, F.d
+    rows = counting._last_block_system(prefix_matrix(F, R, prefix), n, R, (d - 1) * (R - 1) + 1)
+    return matrix_rank(rows, n * R, kernel(F.field))
+
+
+def count_NR_prefixes(F, R):
+    """Oracle for count_NR: one exact rank per prefix tuple, no symmetry."""
+    q, n, d = F.field.q, F.n, F.d
     polys = list(itertools.product(range(q), repeat=R))
-    total = 0
-    for prefix in itertools.product(itertools.product(polys, repeat=n), repeat=d - 2):
-        M = []
-        for j, i in itertools.product(range(n), repeat=2):
-            acc = [0] * ((d - 2) * (R - 1) + 1)
-            for idx in itertools.product(range(n), repeat=d - 2):
-                term = [F.coeff(idx + (j, i)).index]
-                for block, m in zip(prefix, idx):
-                    term = poly_mul(K, term, block[m])
-                acc = [K.add(x, y) for x, y in zip(acc, term)]
-            M.append(acc)
-        rows = counting._last_block_system(M, n, R, (d - 1) * (R - 1) + 1)
-        total += q ** (n * R - matrix_rank(rows, n * R, K))
-    return total
+    return sum(q ** (n * R - prefix_rank(F, R, prefix))
+               for prefix in itertools.product(itertools.product(polys, repeat=n), repeat=d - 2))
 
 
 NR_FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 5: F5, 9: make_field(3, 2)}
@@ -1361,6 +1378,44 @@ def test_prefix_orbits_by_direct_substitution(q, n, R, blocks):
         orbit = orbits[orbit_of[rep]]
         assert rep == min(orbit)
         assert size == len(orbit)
+
+
+def test_point_test_certifies_full_rank():
+    """For every prefix tuple of the NR_SHAPES with at most 2^10 of them,
+    _invertible_at_a_point passes exactly when the multiplied-out M(t) is
+    invertible at t0 = 0, at infinity (its coefficient of t^((d-2)(R-1))) or
+    at some t0 != 0, each determinant by Leibniz; when it passes, the last
+    block's system has rank nR; and its answer is constant on each orbit of
+    the substitutions. Some prefixes pass at infinity alone, and some only
+    at points t0 != 0."""
+    kinds = collections.Counter()
+    for q, n, d, R in NR_SHAPES:
+        if q ** (n * R * (d - 2)) > 1 << 10:
+            continue
+        K = kernel(NR_FIELDS[q])
+        F = random_form(NR_FIELDS[q], d, n, 1000 * q + 100 * n + 10 * d + R)
+        top = (d - 2) * (R - 1)
+
+        def value(c, t0):
+            return functools.reduce(lambda v, s: K.add(K.mul(v, t0), s), reversed(c), 0)
+
+        orbit_of, orbits = substitution_orbits(K, n, R, d - 2)
+        passes = {}
+        for prefix in orbit_of:
+            blocks = [prefix[k * n:(k + 1) * n] for k in range(d - 2)]
+            M = prefix_matrix(F, R, blocks)
+            points = [[c[0] for c in M], [c[top] for c in M]]
+            points += [[value(c, t0) for c in M] for t0 in range(1, q)]
+            units = [leibniz_det(P, n, K) != 0 for P in points]
+            passes[prefix] = counting._invertible_at_a_point(F, blocks, K)
+            assert passes[prefix] == any(units), (q, n, d, R, prefix)
+            if passes[prefix]:
+                assert prefix_rank(F, R, blocks) == n * R, (q, n, d, R, prefix)
+            if not units[0] and units[1] != any(units[2:]):
+                kinds["infinity only" if units[1] else "t0 != 0 only"] += 1
+        for orbit in orbits:
+            assert len({passes[p] for p in orbit}) == 1, (q, n, d, R, min(orbit))
+    assert kinds["infinity only"] and kinds["t0 != 0 only"], kinds
 
 
 def test_prefix_orbit_counts_pinned():
