@@ -6,9 +6,9 @@ list, and estimate the rational geometric rank from the tail of the scan
 carry the signal, so the default list is the 25 primes nearest below the
 budget ceiling; small primes are cheap sanity points.
 
-lift_search drives the mod-L sieve: it returns the small-height integer
-points of the solution set found by the sieve, each re-checked to vanish
-exactly, plus the implied dimension statistic log_L(count).
+lift_search drives the mod-L sieve and reports its exact integer zeros and
+log_L(count). The lift's rule lives here, and verify's lift suite reuses it:
+the height bound, the zone (_lift_zone) and the re-check over Z (_exact_values).
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from .field import is_prime, make_field
 from .counting import BoxSpec, box_solutions, DEFAULT_BUDGET_BITS
 from .ranks import ExactLogRank, ark_exact
 from .tensor import IntMultilinearForm, MultilinearForm
-from .verify import lift_height_bound
 
 ESTIMATE_WINDOW = 3
 ESTIMATE_GAP = 0.25
+DEFAULT_PRIME_COUNT = 25
 
 
 def reduce_mod_p(F: IntMultilinearForm, p: int) -> MultilinearForm:
@@ -33,9 +33,8 @@ def reduce_mod_p(F: IntMultilinearForm, p: int) -> MultilinearForm:
     return MultilinearForm(spec, F.d, F.n, tuple(c % p for c in F.coeffs))
 
 
-def default_primes(F: IntMultilinearForm, budget_bits: float = 20.0,
-                   count: int = 25) -> list[int]:
-    """The `count` primes nearest below the counting ceiling, ascending.
+def default_primes(F: IntMultilinearForm, budget_bits: float = 20.0) -> list[int]:
+    """The DEFAULT_PRIME_COUNT primes nearest below the counting ceiling, ascending.
 
     The ceiling keeps n(d-2) * log2(p) within the budget so every scan
     entry is an exact count.
@@ -44,7 +43,7 @@ def default_primes(F: IntMultilinearForm, budget_bits: float = 20.0,
     ceiling = min(int(2 ** (budget_bits / exponent)), 1 << 20)
     primes: list[int] = []
     p = ceiling
-    while p >= 2 and len(primes) < count:
+    while p >= 2 and len(primes) < DEFAULT_PRIME_COUNT:
         if is_prime(p):
             primes.append(p)
         p -= 1
@@ -122,6 +121,25 @@ class LiftReport:
         }
 
 
+def lift_height_bound(L: int, sigma: float) -> int:
+    return math.ceil(L ** sigma)
+
+
+def _lift_zone(G: IntMultilinearForm, L: int, sigma: float) -> tuple[int, int]:
+    """(B, C): the box ||x|| < B = ceil(L^sigma) and C = max|coeff| * n^(d-1);
+    C * ||x||^(d-1) < L forces a solution mod L to vanish over Z."""
+    if not (0 < sigma < 1 / (G.d - 1)):
+        raise ValueError(f"sigma must lie in (0, 1/(d-1)); got {sigma}")
+    return lift_height_bound(L, sigma), G.max_abs_coeff() * G.n ** (G.d - 1)
+
+
+def _exact_values(G: IntMultilinearForm, hits):
+    """G(x) over Z, the vector of last-slot coefficients, for each flat hit x."""
+    n, blocks = G.n, range(G.d - 1)
+    for sol in hits:
+        yield G.contract_last([list(sol[k * n:(k + 1) * n]) for k in blocks])
+
+
 def lift_search(F: IntMultilinearForm, L: int, sigma: float,
                 budget_bits: float = 34.0) -> LiftReport:
     """Exact integer points of the solution set via the mod-L sieve.
@@ -130,17 +148,8 @@ def lift_search(F: IntMultilinearForm, L: int, sigma: float,
     points that vanish exactly (re-checked over the integers), and reports
     log_L(count) as the implied dimension lower-bound statistic.
     """
-    if not (0 < sigma < 1 / (F.d - 1)):
-        raise ValueError(f"sigma must lie in (0, 1/(d-1)); got {sigma}")
-    B = lift_height_bound(L, sigma)
-    c_f = F.max_abs_coeff() * F.n ** (F.d - 1)
-    threshold = c_f * B ** (F.d - 1) < L
+    B, c_f = _lift_zone(F, L, sigma)
     hits = box_solutions(F, BoxSpec(B, signed=True, modulus=L), budget_bits)
-    n = F.n
-    points = []
-    for sol in hits:
-        vecs = [list(sol[k * n:(k + 1) * n]) for k in range(F.d - 1)]
-        if not any(F.contract_last(vecs)):
-            points.append(sol)
+    points = tuple(sol for sol, exact in zip(hits, _exact_values(F, hits)) if not any(exact))
     stat = math.log(len(points)) / math.log(L) if points else float("-inf")
-    return LiftReport(L, sigma, B, threshold, tuple(points), len(hits), stat)
+    return LiftReport(L, sigma, B, c_f * B ** (F.d - 1) < L, points, len(hits), stat)

@@ -6,15 +6,16 @@ alongside the derived floats, so downstream tooling can recompute
 exactly. Exit codes: 0 success, 1 hard verification failure, 2 budget
 exceeded, 3 input or usage error, 4 internal error (a certificate or
 invariant check failed, or an arithmetic fault such as an inversion of
-zero). Output is byte-identical for
-identical (input, config, seed); wall-clock timings only appear under
---timings.
+zero), 141 stdout closed early by its reader (`| head`; 128 + SIGPIPE),
+with no traceback. Output is byte-identical for identical (input, config,
+seed); wall-clock timings only appear under --timings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable
@@ -318,7 +319,13 @@ def main(argv=None) -> int:
         if exc.code == 2:  # argparse's usage-error code, which is EXIT_BUDGET here
             return EXIT_INPUT
         raise
-    return run(config)
+    try:
+        code = run(config)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:  # fd 1 to /dev/null keeps the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    return code
 
 
 if __name__ == "__main__":

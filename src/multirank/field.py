@@ -46,10 +46,9 @@ from .rng import SplitMix64
 
 MAX_FIELD_SIZE = 1 << 20
 
-# thresholds for precomputed tables; above them ops fall back to direct
-# polynomial arithmetic (correct, slower)
-_MUL_TABLE_LIMIT = 1 << 16
-_DIGIT_CACHE_LIMIT = 1 << 16
+# largest field order with precomputed digit, exp/log and Zech tables; above
+# it ops fall back to direct polynomial arithmetic (correct, slower)
+_TABLE_LIMIT = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -638,7 +637,7 @@ class _Kernel:
         p, e, q = spec.p, spec.e, spec.q
         self.p, self.e, self.q = p, e, q
 
-        if q <= _DIGIT_CACHE_LIMIT:
+        if q <= _TABLE_LIMIT:
             # product order is ascending index once each tuple is reversed
             digit_table = [ds[::-1] for ds in itertools.product(range(p), repeat=e)]
             self.digits_of = digit_table.__getitem__
@@ -717,7 +716,7 @@ class _Kernel:
             return index_direct(_poly_mulmod(digits_of(a), digits_of(b), mod, p))
 
         self._finish_mul(mul_raw, q)
-        if q <= _MUL_TABLE_LIMIT:
+        if q <= _TABLE_LIMIT:
             exp_t, log_t = self._exp, self._log
             # index of x + 1: add 1 to the lowest digit, with no carry
             zech = tuple(log_t[y] if y else -1
@@ -742,7 +741,7 @@ class _Kernel:
 
     # -- multiplication via exp/log tables, or raw fallback -----------------
     def _finish_mul(self, mul_raw, q: int) -> None:
-        if q > _MUL_TABLE_LIMIT:
+        if q > _TABLE_LIMIT:
             self.mul = mul_raw
 
             def pow_raw(a: int, k: int) -> int:

@@ -175,26 +175,22 @@ def poly_to_dict(f: HomogeneousForm) -> dict:
     }
 
 
-def load_tensor(path) -> MultilinearForm | IntMultilinearForm:
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return form_from_dict(doc)
+
+
+def load_tensor(path) -> MultilinearForm | IntMultilinearForm:
+    return form_from_dict(_read_json(path))
 
 
 def load_poly(path) -> HomogeneousForm:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return poly_from_dict(doc)
+    return poly_from_dict(_read_json(path))
 
 
 def dump_tensor(F, path) -> None:

@@ -32,6 +32,7 @@ from .counting import (
     level_form,
     DEFAULT_BUDGET_BITS,
 )
+from .charzero import _exact_values, _lift_zone
 from .ranks import (
     ExactLogRank,
     ark_exact,
@@ -196,40 +197,27 @@ def verify_scaling_char0(G: IntMultilinearForm, R: int, L: int,
     return rep
 
 
-def lift_height_bound(L: int, sigma: float) -> int:
-    return math.ceil(L ** sigma)
-
-
 def verify_lift_threshold(G: IntMultilinearForm, L: int, sigma: float,
                           budget_bits: float = 34.0) -> VerifyReport:
     """Small-height solutions mod L lift to exact integer solutions.
 
-    With C = max|coeff| * n^(d-1), every solution x with
-    C * ||x||^(d-1) < L is forced to lift (its values are too small to be
-    nonzero multiples of L), so a non-lifting solution inside that zone is
-    a hard failure. The sieve box ||x|| < ceil(L^sigma) needs
-    sigma < 1/(d-1); threshold_reached records whether the whole box sits
-    inside the zone (C * ceil(L^sigma)^(d-1) < L). Outside the zone,
-    non-lifting solutions are recorded as advisory "threshold not
-    reached", never as failures.
+    charzero's _lift_zone gives the box ||x|| < B = ceil(L^sigma) and
+    C = max|coeff| * n^(d-1), and _exact_values re-contracts each hit over Z.
+    A solution with C * ||x||^(d-1) < L is forced to lift (its values are too
+    small to be nonzero multiples of L), so one that does not is a hard
+    failure and the check stops there. threshold_reached records whether the
+    whole box sits inside that zone; outside it, non-lifting solutions are
+    advisory ("threshold not reached"), never failures.
     """
-    if not (0 < sigma < 1 / (G.d - 1)):
-        raise ValueError(f"sigma must lie in (0, 1/(d-1)); got {sigma}")
-    B = lift_height_bound(L, sigma)
-    c_f = G.max_abs_coeff() * G.n ** (G.d - 1)
-    threshold_reached = c_f * B ** (G.d - 1) < L
-    rep = VerifyReport("lift", {"n": G.n, "d": G.d, "L": L, "sigma": sigma,
-                                "height_bound": B,
-                                "threshold_reached": threshold_reached})
+    B, c_f = _lift_zone(G, L, sigma)
+    rep = VerifyReport("lift", {"n": G.n, "d": G.d, "L": L, "sigma": sigma, "height_bound": B,
+                                "threshold_reached": c_f * B ** (G.d - 1) < L})
     start = time.perf_counter()
     sols = box_solutions(G, BoxSpec(B, signed=True, modulus=L), budget_bits)
     inst = {"tensor": tensorio.form_to_dict(G), "L": L, "sigma": sigma}
-    n = G.n
     lifted = 0
-    for sol in sols:
+    for sol, exact in zip(sols, _exact_values(G, sols)):
         rep.cases += 1
-        vecs = [list(sol[k * n:(k + 1) * n]) for k in range(G.d - 1)]
-        exact = G.contract_last(vecs)
         if not any(exact):
             lifted += 1
             continue

@@ -14,7 +14,7 @@ import math
 
 from acceptance_registry import record
 
-from multirank.charzero import lift_search, liminf_ark_scan, reduce_mod_p
+from multirank.charzero import lift_height_bound, lift_search, liminf_ark_scan, reduce_mod_p
 from multirank.counting import count_SF, count_SF_naive, matrix_rank
 from multirank.field import kernel, make_field
 from multirank.ranks import (
@@ -33,7 +33,7 @@ from multirank.tensor import (
     random_form,
     random_int_form,
 )
-from multirank.verify import lift_height_bound, run_suite, verify_weil
+from multirank.verify import run_suite, verify_weil
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)

@@ -14,7 +14,7 @@ from multirank.charzero import (
 )
 from multirank.errors import BudgetError
 from multirank.field import is_prime
-from multirank.counting import count_SF
+from multirank.counting import BoxSpec, box_solutions, count_box, count_SF
 from multirank.tensor import IntMultilinearForm, int_diagonal, random_int_form
 
 
@@ -149,6 +149,22 @@ def test_lift_search_points_reevaluate_to_zero():
         for sol in rep.points:
             vecs = [list(sol[k * n:(k + 1) * n]) for k in range(G.d - 1)]
             assert not any(G.contract_last(vecs))
+
+
+LIFT_CASES = [random_int_form(d, n, 3, seed) for d in (3, 4) for n in (1, 2) for seed in (1, 2, 3)]
+LIFT_CASES += [int_diagonal(1, 1, 3), IntMultilinearForm.zeros(3, 1)]
+
+
+@pytest.mark.parametrize("L", [100, 1000])
+@pytest.mark.parametrize("G", LIFT_CASES, ids=lambda G: f"d{G.d}n{G.n}")
+def test_lift_search_drops_no_integer_zero(G, L):
+    # every integer zero in the box solves G = 0 mod L, so the sieve must
+    # return all of them, in enumeration order, and count every hit
+    sigma = 0.2 if G.d == 4 else 0.4
+    rep = lift_search(G, L, sigma)
+    box = BoxSpec(rep.height_bound, signed=True)
+    assert rep.points == tuple(box_solutions(G, box))
+    assert rep.sieve_hits == count_box(G, BoxSpec(rep.height_bound, signed=True, modulus=L))
 
 
 def test_lift_search_sigma_gate():

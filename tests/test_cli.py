@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -394,3 +395,32 @@ def test_byte_identical_on_a_rerun(tmp_path):
             capture_output=True, check=True)
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv,tensor,keep", [
+    # one flushed csv row per level, and level 2 takes about 0.3 s: the
+    # pipe is closed before the last row is written
+    (["count", "--naive", "--lmax", "2", "--format", "csv"],
+     ["diagonal", "--p", "2", "--n", "4", "--m", "4"], "line"),
+    # about 290 KB on one line, more than a pipe holds: the writer is still
+    # blocked when the first 10 bytes have been read
+    (["charzero", "lift", "--L", "10000", "--sigma", "0.4"],
+     ["random", "--integer", "--n", "2", "--d", "3", "--seed", "5"], 10),
+    # about 1 KB, still in the stdout buffer when the process ends: the pipe
+    # is closed before the final flush
+    (["verify", "weil", "--grid", "small", "--seed", "17"], None, 0),
+], ids=["count-csv", "charzero-lift", "verify-weil"])
+def test_a_closed_stdout_pipe_exits_141_quietly(tmp_path, argv, tensor, keep):
+    if tensor:
+        path = str(tmp_path / "t.json")
+        assert main(["gen", *tensor, "--out", path]) == EXIT_OK
+        argv = [*argv, "--tensor", path]
+    # block-buffered stdout, as in a shell pipeline
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "multirank.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.readline() if keep == "line" else proc.stdout.read(keep)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait() == 141
+    assert stderr == b"" and len(head) == (8 if keep == "line" else keep)

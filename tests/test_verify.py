@@ -7,9 +7,10 @@ import json
 
 import pytest
 
+from multirank.charzero import _lift_zone, lift_height_bound
 from multirank.cli import EXIT_VERIFY_FAILURE, main
 from multirank.field import make_field
-from multirank.counting import DEFAULT_BUDGET_BITS, zero_fiber_target
+from multirank.counting import BoxSpec, DEFAULT_BUDGET_BITS, box_solutions, zero_fiber_target
 from multirank.oracles import count_fiber
 from multirank.tensor import (
     MultilinearForm,
@@ -21,7 +22,6 @@ from multirank.tensor import (
 from multirank.tensorio import form_from_dict, form_to_dict, load_tensor
 from multirank.verify import (
     VerifyReport,
-    lift_height_bound,
     run_suite,
     verify_eval_fibers,
     verify_lift_threshold,
@@ -178,6 +178,95 @@ def test_lift_non_example_outside_height_bound():
     assert vals[0] == 100
     assert vals[0] % 100 == 0 and vals[0] != 0
     assert 10 >= lift_height_bound(100, 0.4)
+
+
+LIFT_RELATION = "G(x) = 0 mod L implies G(x) = 0"
+
+
+def zero_hit(vanishing):
+    """The zero vector: always a hit, and in the zone (C * 0 < L)."""
+    return tuple(0 for _ in vanishing[0])
+
+
+def tallest_vanishing_hit(vanishing):
+    """The first exact zero of greatest height; at d = 3 a hit with a zero
+    block vanishes, so its height is B - 1."""
+    return max(vanishing, key=lambda x: max(map(abs, x)))
+
+
+LIFT_FAULTS = {"in-zone": zero_hit, "out-of-zone": tallest_vanishing_hit}
+
+
+@pytest.fixture(params=sorted(LIFT_FAULTS))
+def lift_fault(request, monkeypatch):
+    """Make verify's exact re-check report one vanishing hit as nonzero; the
+    value names the zone of that hit."""
+    import multirank.verify as V
+
+    real, pick = V._exact_values, LIFT_FAULTS[request.param]
+
+    def faulty(G, hits):
+        values = list(real(G, hits))
+        bad = pick([x for x, v in zip(hits, values) if not any(v)])
+        for x, v in zip(hits, values):
+            yield tuple(c + 1 for c in v) if x == bad else v
+
+    monkeypatch.setattr(V, "_exact_values", faulty)
+    return request.param
+
+
+def test_lift_threshold_reports_an_injected_fault_by_zone(lift_fault, monkeypatch):
+    G = random_int_form(3, 2, 3, 11)
+    B, c_f = _lift_zone(G, 100, 0.4)
+    assert c_f * (B - 1) ** 2 >= 100  # the tallest hits lie outside the zone
+    rep = verify_lift_threshold(G, 100, 0.4)
+    monkeypatch.undo()
+    clean = verify_lift_threshold(G, 100, 0.4)
+    assert clean.passed
+    if lift_fault == "in-zone":
+        (failure,) = rep.failures
+        assert failure["relation"] == LIFT_RELATION
+        assert failure["observed"]["x"] == [0, 0, 0, 0]
+        # the check stops at the failing hit and counts no later one
+        hits = box_solutions(G, BoxSpec(B, signed=True, modulus=100))
+        stop = hits.index((0, 0, 0, 0))
+        assert rep.cases == stop + 1 < clean.cases
+        assert rep.advisories == [a for a in clean.advisories
+                                  if hits.index(tuple(a["observed"]["x"])) < stop]
+        assert not rep.passed
+    else:
+        assert rep.passed and rep.cases == clean.cases
+        assert len(rep.advisories) == len(clean.advisories) + 1
+        (extra,) = [a for a in rep.advisories if a not in clean.advisories]
+        assert extra["relation"] == LIFT_RELATION
+        assert extra["note"] == "threshold not reached"
+        assert extra["observed"]["height"] == B - 1
+        assert rep.grid["lifted"] == clean.grid["lifted"] - 1
+
+
+@pytest.mark.parametrize("lift_fault", ["in-zone"], indirect=True)
+def test_verify_lift_exits_on_an_injected_fault(lift_fault, capsys):
+    code = main(["verify", "lift", "--grid", "small", "--seed", "20260810"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_VERIFY_FAILURE
+    assert [f["relation"] for f in doc["failures"]] == [LIFT_RELATION]
+    assert not doc["passed"]
+
+
+@pytest.mark.parametrize("lift_fault", ["in-zone"], indirect=True)
+def test_verify_lift_out_writes_a_counterexample_that_fails_again(lift_fault, tmp_path,
+                                                                 capsys):
+    code = main(["verify", "lift", "--grid", "small", "--seed", "20260810",
+                 "--out", str(tmp_path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_VERIFY_FAILURE
+    (failure,) = doc["failures"]
+    target = tmp_path / "lift_counterexample.json"
+    assert failure["counterexample_file"] == str(target)
+    inst = failure["instance"]
+    rep = verify_lift_threshold(load_tensor(target), inst["L"], inst["sigma"])
+    assert [f["relation"] for f in rep.failures] == [LIFT_RELATION]
+    assert rep.failures[0]["observed"] == failure["observed"]
 
 
 def test_rank_chain_zero_tensor():
