@@ -21,7 +21,16 @@ rank n there settles it) is counted on its concise core: the m-cube
 sub-array F_U, m = max r_j, on each slot's pivot coordinates padded with
 its lowest other ones, and |S_F(F_Q)| = Q^((d-1)(n-m)) |S_{F_U}(F_Q)|,
 since F factors through F_U by maps of rank r_j whose kernels, defined
-over F_q, keep their dimension over every F_Q. The slice ranks are taken
+over F_q, keep their dimension over every F_Q. The core is then split
+into its direct summands, the connected components of its support (the
+nodes are the pairs (slot, coordinate), and each nonzero coefficient
+joins its d nodes), and |S_{F + G}| = |S_F| |S_G|. A summand is padded
+to the cube of its longest side by coordinates outside it, where F is
+zero, and counted; each padding coordinate, and each coordinate in no
+summand, in slots 0..d-2 is a free factor Q, while slot d-1 costs
+nothing. Two or more summands carry at most (n-1)^d + 1 nonzero
+coefficients, so a denser core is counted whole without a component
+search, as is a core of one summand. The slice ranks are taken
 one projective line at a time: along {(u, t) : t in F_Q} the slice is
 P + tB, and each contracted form takes one of two routes (_line_kernel).
 When B is invertible, or becomes so after a change of basis of the first
@@ -192,7 +201,7 @@ def _projective(q: int, n: int):
 
 def count_SF(F: MultilinearForm, l: int = 1,
              budget_bits: float = DEFAULT_BUDGET_BITS) -> int:
-    """Exact |S_{F_l}(F_{q^l})| via the rank trick, on the concise core of F.
+    """Exact |S_{F_l}(F_{q^l})| via the rank trick, per direct summand of the concise core of F.
 
     Equals sum over x in V^(d-2) of Q^(n - rank(slice_matrix(F_l, x))),
     which in turn equals the literal count of (d-1)-tuples killing the
@@ -213,6 +222,21 @@ def count_SF(F: MultilinearForm, l: int = 1,
     coordinates, whose kernels, defined over F_q, keep their dimension
     over every F_Q. m = 0 is the zero form, Q^(n(d-1)). A form with some
     slot of rank n is counted as it stands.
+
+    The core is then split into its direct summands (_count_sf_blocks):
+    the connected components of its support, whose counts multiply,
+    |S_{F + G}| = |S_F| |S_G|. A form with more than (n-1)^d + 1 nonzero
+    coefficients has one summand, and one summand is counted as it stands.
+    """
+    return _count_sf(F, l, budget_bits, _count_sf_blocks)
+
+
+def _count_sf(F: MultilinearForm, l: int, budget_bits: float, count_core) -> int:
+    """count_SF with count_core(core, l) counting the concise core.
+
+    count_SF passes _count_sf_blocks. The direct-sum checks pass
+    _count_sf_lines, so the sum is counted whole and the product relation
+    |S_{F + G}| = |S_F| |S_G| does not hold by construction.
     """
     n, d = F.n, F.d
     if d == 2:
@@ -231,7 +255,7 @@ def count_SF(F: MultilinearForm, l: int = 1,
     if not any(F.coeffs):
         return Q ** (n * (d - 1))
     core = _concise_core(F)
-    return Q ** ((d - 1) * (n - core.n)) * _count_sf_lines(core, l)
+    return Q ** ((d - 1) * (n - core.n)) * count_core(core, l)
 
 
 def _concise_core(F: MultilinearForm) -> MultilinearForm:
@@ -257,13 +281,73 @@ def _concise_core(F: MultilinearForm) -> MultilinearForm:
         if len(prows) == n:
             return F
         keep.append(prows)
-    m = max(map(len, keep))
+    return _sub_cube(F, keep)
+
+
+def _sub_cube(F: MultilinearForm, coords: Sequence[Sequence[int]]) -> MultilinearForm:
+    """The m-cube sub-array of F, m = max len(coords[j]), on coords[j] in slot j,
+    each padded with its lowest other coordinates, ascending."""
+    n, d = F.n, F.d
+    m = max(map(len, coords))
     offsets = [0]
-    for j, prows in enumerate(keep):
-        coords = sorted(prows + [i for i in range(n) if i not in prows][:m - len(prows)])
+    for j, cs in enumerate(coords):
         s = n ** (d - 1 - j)
-        offsets = [o + i * s for o in offsets for i in coords]
-    return MultilinearForm(F.field, d, m, tuple(coeffs[o] for o in offsets))
+        offsets = [o + i * s for o in offsets
+                   for i in sorted([*cs, *[i for i in range(n) if i not in cs][:m - len(cs)]])]
+    return MultilinearForm(F.field, d, m, tuple(F.coeffs[o] for o in offsets))
+
+
+def _blocks(F: MultilinearForm) -> list[list[list[int]]]:
+    """The connected components of F's support, each as its coordinates per slot.
+
+    The nodes are the pairs (slot j, coordinate i), and every nonzero
+    coefficient joins its d nodes. A coordinate with no nonzero
+    coefficient is in no component.
+    """
+    n, d = F.n, F.d
+    strides = [(j * n, n ** (d - 1 - j)) for j in range(d)]
+    parent = list(range(d * n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    supported = set()
+    for k, c in enumerate(F.coeffs):
+        if c:
+            nodes = [j + k // s % n for j, s in strides]
+            supported.update(nodes)
+            root = find(nodes[0])
+            for a in nodes[1:]:
+                parent[find(a)] = root
+    blocks: dict[int, list[list[int]]] = {}
+    for a in sorted(supported):
+        blocks.setdefault(find(a), [[] for _ in range(d)])[a // n].append(a % n)
+    return list(blocks.values())
+
+
+def _count_sf_blocks(F: MultilinearForm, l: int) -> int:
+    """_count_sf_lines(F, l) as the product of the counts of F's direct summands.
+
+    A summand (_blocks) is padded to the cube of its longest side by
+    coordinates outside it, where F is zero, since no nonzero coefficient
+    joins two summands; each padding coordinate in slots 0..d-2 is free,
+    a factor Q the count of the cube divides out, and slot d-1 is the one
+    the tuples kill, so padding it costs nothing. A coordinate of slots
+    0..d-2 in no summand is free, a factor Q. k >= 2 summands of sides
+    n_c,j, sum_c n_c,j <= n, have at most (n-1)^d + 1 nonzero coefficients,
+    so a form with more is counted whole before any component search.
+    """
+    n, d, coeffs = F.n, F.d, F.coeffs
+    if len(coeffs) - coeffs.count(0) > (n - 1) ** d + 1 or len(blocks := _blocks(F)) == 1:
+        return _count_sf_lines(F, l)
+    Q = F.field.q ** l
+    count = Q ** ((d - 1) * n - sum(len(cs) for coords in blocks for cs in coords[:-1]))
+    for coords in blocks:
+        m = max(map(len, coords))
+        count *= _count_sf_lines(_sub_cube(F, coords), l) // Q ** sum(m - len(cs) for cs in coords[:-1])
+    return count
 
 
 def _count_sf_lines(F: MultilinearForm, l: int) -> int:
@@ -403,8 +487,8 @@ def _line_kernel(K, n: int):
     then has degree <= rank B, so m has few terms and few zeros, while chi
     has degree n (diag(3, 3, 3) over F_2, whose slice at (1, 1, 1) is I,
     ran 0.70-0.77x on the chi route). Concise diagonal forms keep the node
-    route so; a diagonal of lower rank or a rank-one form reaches the
-    kernel as its concise core, diag(m, m) or a 1-cube (count_SF). Per
+    route so, though count_SF hands a diagonal to the kernel as its
+    1-cube summands, and a rank-one form as its 1-cube core. Per
     call, warm, random forms, node / chi route forced, on a 2-core host
     with Python 3.11: n = 3 at Q = 7 (8 lines) 0.143 / 0.122 ms, F_2 at
     l = 4 (Q = 16, 7 lines) 0.146 / 0.155 ms, F_4 at l = 2 (Q = 16, 11

@@ -20,6 +20,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -167,10 +168,15 @@ class MultilinearForm(_DenseForm):
         field = self.field
         return [[_coerce(field, x) for x in v] for v in vectors]
 
+    @functools.cached_property
+    def _kernel(self):
+        """The field kernel, taken once per form rather than once per contraction."""
+        return kernel(self.field)
+
     def _contract_first(self, flat: Sequence[int], slots: int, vec_idx: Sequence[int]) -> list[int]:
         """Contract the first slot of a flat slots-slot array with a vector."""
         n = self.n
-        K = kernel(self.field)
+        K = self._kernel
         block = n ** (slots - 1)
         out = [0] * block
         add, mul = K.add, K.mul

@@ -24,6 +24,8 @@ from .errors import BudgetError
 from .field import FieldSpec, embed, make_field
 from .counting import (
     BoxSpec,
+    _count_sf,
+    _count_sf_lines,
     box_solutions,
     count_box,
     count_NR,
@@ -314,8 +316,8 @@ def verify_rank_chain(corpus: Sequence[MultilinearForm], l_max: int = 8,
             if (A.n + B.n) ** A.d > 1 << 20:
                 continue
             S = direct_sum(A, B)
-            try:
-                cs = count_SF(S, 1, budget_bits)
+            try:  # S counted whole: count_SF itself would multiply its summands' counts
+                cs = _count_sf(S, 1, budget_bits, _count_sf_lines)
             except BudgetError:
                 continue
             rep.cases += 1

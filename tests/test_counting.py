@@ -1171,6 +1171,76 @@ def test_count_sf_gates_the_full_space_of_a_deficient_form():
     assert count_SF(D, 2, budget_bits=12) == 4 ** 10 * 7  # x_0 y_0 = 0, the rest free
 
 
+def block_coeffs(kind, K, sides, rnd):
+    """{multi-index: value} of one nonzero summand of the given side per slot:
+    random entries, a diagonal of random nonzero scalars, or v (x) G, of rank
+    one in a random slot."""
+    def nonzero(cells):
+        vals = {idx: rnd.randrange(K.q) for idx in cells}
+        vals[rnd.choice(cells)] = rnd.randrange(1, K.q)
+        return vals
+
+    cells = list(itertools.product(*map(range, sides)))
+    if kind == "random":
+        return nonzero(cells)
+    if kind == "diagonal":
+        return {(i,) * len(sides): rnd.randrange(1, K.q) for i in range(min(sides))}
+    j = rnd.randrange(len(sides))
+    v = nonzero([(i,) for i in range(sides[j])])
+    G = nonzero(list(itertools.product(*map(range, sides[:j] + sides[j + 1:]))))
+    return {idx: K.mul(v[idx[j:j + 1]], G[idx[:j] + idx[j + 1:]]) for idx in cells}
+
+
+def scrambled_direct_sum(field, d, n, s):
+    """1 to 4 summands on disjoint coordinates of an n-cube, each slot's
+    coordinates scrambled by its own permutation. Each summand has a side
+    of its own in each slot. s % 4 leaves one coordinate outside every
+    summand in slot d-1 (bit 0) and in a slot below it (bit 1); the other
+    slots may leave some out too."""
+    K, rnd = kernel(field), random.Random(s)
+    k = min(1 + s // 4 % 4, n - (s % 4 > 0))
+    short = rnd.randrange(d - 1)
+    sides = []
+    for j in range(d):
+        free = n - k - (j == d - 1 and s & 1) - (j == short and s // 2 & 1)
+        cuts = sorted(rnd.randrange(k) for _ in range(rnd.randrange(free + 1)))
+        sides.append([1 + cuts.count(c) for c in range(k)])
+    perms = [rnd.sample(range(n), n) for _ in range(d)]
+    entries = {}
+    for c in range(k):
+        start = [sum(sides[j][:c]) for j in range(d)]
+        block = block_coeffs(rnd.choice(("random", "diagonal", "deficient")), K,
+                             [sides[j][c] for j in range(d)], rnd)
+        for idx, val in block.items():
+            entries[tuple(perms[j][start[j] + i] for j, i in enumerate(idx))] = val
+    return MultilinearForm.from_entries(field, d, n, entries)
+
+
+# (q, l, n, d) over F_2, F_3, F_4, F_5, l <= 2, 2 <= n <= 5, d in {3, 4}, with at
+# most 2^11 projective (d-2)-tuples at level l, so the whole form is cheap to count
+SPLIT_SHAPES = [(q, l, n, d) for q in FIELDS for l in (1, 2) for n in (2, 3, 4, 5)
+                for d in (3, 4) if ((q ** (l * n) - 1) // (q ** l - 1)) ** (d - 2) <= 1 << 11]
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SPLIT_SHAPES), st.integers(0, 2 ** 32 - 1))
+def test_count_sf_direct_summands_property(shape, s):
+    """count_SF multiplies the counts of the direct summands of a form with
+    scrambled coordinates; it must agree with the line kernel on the whole
+    form, and with the literal enumeration where it fits. Two or more
+    summands leave at most (n-1)^d + 1 nonzero coefficients, the bound
+    past which count_SF skips the component search."""
+    q, l, n, d = shape
+    F = scrambled_direct_sum(FIELDS[q], d, n, s)
+    if len(counting._blocks(F)) >= 2:
+        assert len(F.coeffs) - F.coeffs.count(0) <= (n - 1) ** d + 1
+    want = counting._count_sf_lines(F, l)
+    assert count_SF(F, l) == want
+    if (q ** l) ** (n * (d - 1)) <= 1 << 14:
+        assert count_SF_naive(F, l) == want
+
+
 def assert_frobenius_orbits(K, n, k, e):
     """counting._orbits(K, n, k, q), q = p^e, against FieldElement.frobenius.
 
