@@ -83,9 +83,9 @@ over F_q, the system is not built. count_NR tries t0 = 0, infinity (the
 coefficients of t^(R-1)) and t0 = 1..q-1; a nonzero determinant at any
 of them makes det F(x, ., .) a nonzero binary form, so the system has
 rank nR. fiber_counts tries t0 = 0 alone: the matrix is then a unit mod
-t^a and the kernel is 0. count_singular evaluates the origin and the
-projective points. The literal enumerations stay as oracles
-(multirank.oracles.count_fiber, and in the tests).
+t^a and the kernel is 0. count_singular takes the gcd of the partials
+on each line through e_{n-1}, one per Frobenius orbit. The literal
+enumerations stay as oracles (multirank.oracles.count_fiber, and tests).
 Budget gates keep their full-space exponents (count_SF gates the full n
 before it takes the concise core) and raise BudgetError naming the
 offending one; nothing is silently truncated.
@@ -678,39 +678,39 @@ def count_singular(f: HomogeneousForm, l: int = 1,
                    budget_bits: float = DEFAULT_BUDGET_BITS) -> int:
     """Exact count of points where all n formal partial derivatives vanish.
 
-    The partials are homogeneous of degree d-1, so whether they all vanish
-    at c*x does not depend on c != 0: the count is the origin, evaluated
-    directly (its partials are constants when d = 1), plus Q-1 times the
-    singular projective points.
+    F_Q^n is the union of the lines {(u, t) : t in F_Q}, u in F_Q^(n-1). On
+    a line the singular points are the roots in F_Q of the gcd g of the
+    partials, polynomials in t of degree <= d-1: Q if g = 0, else deg
+    gcd(g, t^Q - t). The partials are homogeneous, so the line of c*u (c != 0)
+    has as many as that of u: the count is the line u = 0 plus Q-1 times one
+    projective u per orbit of x -> x^q, weighted by its size (_orbits).
     """
     if f.field is None:
         raise ValueError("count_singular needs a finite-field polynomial")
     fl = level_poly(f, l)
     K = kernel(fl.field)
-    Q, n = K.q, f.n
+    Q, n, mul, add, pw = K.q, f.n, K.mul, K.add, K.pow
     bits = n * math.log2(Q)
     if bits > budget_bits:
         raise BudgetError("singular locus enumeration q^(l*n)", bits, budget_bits)
-    partials = [list(fl.partial(j).terms) for j in range(n)]
-    mul, add, pw = K.mul, K.add, K.pow
+    partials = [[(exp[:-1], exp[-1], c) for exp, c in fl.partial(j).terms] for j in range(n)]
 
-    def singular(point: tuple[int, ...]) -> bool:
+    def line(u: Sequence[int]) -> int:
+        g: tuple[int, ...] = ()
         for terms in partials:
-            val = 0
-            for exp, c in terms:
-                v = c
-                for x, e in zip(point, exp):
-                    if e:
-                        if not x:
-                            v = 0
-                            break
-                        v = mul(v, pw(x, e))
-                val = add(val, v)
-            if val:
-                return False
-        return True
+            poly = [0] * max(f.d, 1)
+            for head, e, c in terms:
+                for x, k in zip(u, head):
+                    if k:
+                        c = mul(c, pw(x, k))
+                poly[e] = add(poly[e], c)
+            g = _poly_gcd(g, poly, K)
+            if len(g) == 1:
+                return 0
+        return len(_poly_field_roots(g, K)) - 1 if g else Q
 
-    return singular((0,) * n) + (Q - 1) * sum(map(singular, projective_points(Q, n)))
+    heads = _orbits(K, n - 1, 1, f.field.q)
+    return line((0,) * (n - 1)) + (Q - 1) * sum(w * line(u) for (u,), w in heads)
 
 
 # ---------------------------------------------------------------------------

@@ -637,12 +637,12 @@ class _Kernel:
         p, e, q = spec.p, spec.e, spec.q
         self.p, self.e, self.q = p, e, q
 
-        if q <= _TABLE_LIMIT:
+        if e > 1 and q <= _TABLE_LIMIT:
             # product order is ascending index once each tuple is reversed
             digit_table = [ds[::-1] for ds in itertools.product(range(p), repeat=e)]
             self.digits_of = digit_table.__getitem__
-        else:
-            self.digits_of = self._digits_direct
+        else:  # e = 1: an index is its own one digit, no table
+            self.digits_of = self._digits_direct if e > 1 else lambda i: (i,)
 
         if e == 1:
             self._build_prime(p)

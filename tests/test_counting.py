@@ -523,19 +523,60 @@ def test_count_nr_matches_naive_property(case):
     assert count_NR(F, R) == naive_count_NR(F, R)
 
 
+def singular_points(f, l, points):
+    """The points (element indices of F_(q^l)) where every partial of f vanishes."""
+    grad = level_poly(f, l).gradient()
+    return [pt for pt in points if not any(g.evaluate_index(pt) for g in grad)]
+
+
 @seed(20241003)
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(FIELDS)), st.integers(1, 3), st.integers(1, 4),
-       st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+@given(st.sampled_from(sorted(FIELDS)), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 def test_count_singular_matches_direct_evaluation_property(q, n, d, l, s):
-    if q ** (l * n) > 2 ** 12:  # keep the direct evaluation small
-        l = 1
+    while q ** (l * n) > 2 ** 12:  # keep the direct evaluation small
+        l -= 1
     f = random_poly(FIELDS[q], d, n, s)
-    fl = level_poly(f, l)
-    grad = [fl.partial(j) for j in range(n)]
-    direct = sum(1 for pt in itertools.product(range(q ** l), repeat=n)
-                 if not any(g.evaluate_index(pt) for g in grad))
-    assert count_singular(f, l) == direct
+    direct = singular_points(f, l, itertools.product(range(q ** l), repeat=n))
+    assert count_singular(f, l) == len(direct)
+
+
+def test_count_singular_pins_a_cubic_singular_on_one_frobenius_orbit():
+    """x^2 y + 2 y^2 z + x z^2 + x y z over F_3 is smooth at levels 1, 2
+    and 4; at level 3 its singular projective points are one orbit of
+    x -> x^3, of size 3, so the line walk must weight its head by 3."""
+    f = HomogeneousForm.from_terms(F3, 3, 3, {(2, 1, 0): 1, (0, 2, 1): 2, (1, 0, 2): 1, (1, 1, 1): 1})
+    assert [count_singular(f, l) for l in range(1, 5)] == [1, 1, 79, 1]
+    K = kernel(level_poly(f, 3).field)
+    pts = singular_points(f, 3, projective_points(27, 3))
+    assert len(pts) == 3 and {tuple(K.pow(x, 3) for x in pt) for pt in pts} == set(pts)
+    assert all(any(pt[:-1]) for pt in pts)  # none is e_2, the line u = 0
+
+
+@pytest.mark.parametrize("field, n, d, terms, levels", [
+    # x^2 y in 3 variables: the plane x = 0, so the line of head u = (0, 1) is
+    # singular at all of its Q points, as is the line u = 0
+    (F3, 3, 3, {(2, 1, 0): 1}, (1, 2)),
+    # x^2 y z over F_2: the plane x = 0 and the line y = z = 0
+    (F2, 3, 4, {(2, 1, 1): 1}, (1, 2, 3)),
+    # x^3 + y^3 over F_3: every formal partial is 0 mod 3, the whole space
+    (F3, 2, 3, {(3, 0): 1, (0, 3): 1}, (1, 2)),
+    # n = 1: x^2 (the origin alone), x^3 over F_3 (all of F_Q), x^4 over F_5
+    (F5, 1, 2, {(2,): 1}, (1, 2)),
+    (F3, 1, 3, {(3,): 2}, (1, 3)),
+    (F5, 1, 4, {(4,): 3}, (1,)),
+    # d = 1: nonzero constant partials (no point), and the zero linear form
+    (F5, 2, 1, {(1, 0): 1, (0, 1): 2}, (1, 2)),
+    (F2, 3, 1, {(0, 0, 1): 1}, (1, 3)),
+    (F3, 2, 1, {}, (1, 2)),
+    # e_{n-1} alone among the projective points: only its partials are all 0
+    (F5, 2, 3, {(3, 0): 1, (2, 1): 1}, (1, 2)),
+])
+def test_count_singular_whole_lines_and_small_cases(field, n, d, terms, levels):
+    f = HomogeneousForm.from_terms(field, n, d, terms)
+    for l in levels:
+        Q = field.q ** l
+        assert count_singular(f, l) == len(singular_points(f, l, itertools.product(range(Q), repeat=n)))
 
 
 @pytest.mark.parametrize("spec, n, a, b", [(F2, 1, 3, 2), (F3, 1, 3, 2), (F2, 2, 2, 2),
