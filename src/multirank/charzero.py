@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetError
 from .field import is_prime, make_field
-from .counting import BoxSpec, box_solutions, DEFAULT_BUDGET_BITS
+from .counting import BoxSpec, box_solutions, BOX_BUDGET_BITS, DEFAULT_BUDGET_BITS
 from .ranks import ExactLogRank, ark_exact
 from .tensor import IntMultilinearForm, MultilinearForm
 
@@ -141,7 +141,7 @@ def _exact_values(G: IntMultilinearForm, hits):
 
 
 def lift_search(F: IntMultilinearForm, L: int, sigma: float,
-                budget_bits: float = 34.0) -> LiftReport:
+                budget_bits: float = BOX_BUDGET_BITS) -> LiftReport:
     """Exact integer points of the solution set via the mod-L sieve.
 
     Enumerates x with ||x|| < ceil(L^sigma) and G(x) = 0 mod L, keeps the

@@ -15,29 +15,32 @@ Q^(n - rank(slice_matrix)) over (d-2)-tuples instead of scanning all
 (d-1)-tuples. Since the slice rank is invariant under scaling each
 slot vector, the enumeration runs over projective representatives and is
 multiplied back by (Q-1)^(d-2); tuples containing a zero vector
-contribute a closed form. A form whose every slot j has rank r_j < n
-(the rank of its n x n^(d-1) flattening; slot 0's is ranked first, and
-rank n there settles it) is counted on its concise core: the m-cube
-sub-array F_U, m = max r_j, on each slot's pivot coordinates padded with
-its lowest other ones, and |S_F(F_Q)| = Q^((d-1)(n-m)) |S_{F_U}(F_Q)|,
-since F factors through F_U by maps of rank r_j whose kernels, defined
-over F_q, keep their dimension over every F_Q. The core is then split
-into its direct summands, the connected components of its support (the
-nodes are the pairs (slot, coordinate), and each nonzero coefficient
-joins its d nodes), and |S_{F + G}| = |S_F| |S_G|. A summand is padded
-to the cube of its longest side by coordinates outside it, where F is
-zero, and counted; each padding coordinate, and each coordinate in no
-summand, in slots 0..d-2 is a free factor Q, while slot d-1 costs
-nothing. Two or more summands carry at most (n-1)^d + 1 nonzero
-coefficients, so a denser core is counted whole without a component
-search, as is a core of one summand. The slice ranks are taken
-one projective line at a time: along {(u, t) : t in F_Q} the slice is
-P + tB, and each contracted form takes one of two routes (_line_kernel).
-When B is invertible, or becomes so after a change of basis of the first
-slot by one of the first 2n prime-field points (the sum over projective
-points is GL_n-invariant, and prime-field points are fixed by
-x -> x^q), the pencil is B (tI - N(u)) with N(u) linear in u and solved once per form,
-and each line takes one characteristic polynomial chi(t) =
+contribute a closed form. A form is first reduced to cubes C_c of sides
+m_c (_summands): none for the zero form, else its concise core split
+into its direct summands, each padded to the cube of its longest side.
+One identity then counts it,
+|S_F(F_Q)| = Q^((d-1)n) prod_c |S_{C_c}(F_Q)| / Q^((d-1) sum_c m_c),
+that is ark(F) = sum_c ark(C_c) for the analytic rank
+ark(F) = (d-1)n - log_Q |S_F|. Analytic rank is unchanged by the concise
+reduction: a form whose every slot j has rank r_j < n (the rank of its
+n x n^(d-1) flattening; slot 0's is ranked first, and rank n there
+settles it) factors through the m-cube sub-array F_U, m = max r_j, on
+each slot's pivot coordinates padded with its lowest other ones, by maps
+of rank r_j whose kernels, defined over F_q, keep their dimension over
+every F_Q. It is additive over direct sums, the connected components of
+the core's support (the nodes are the pairs (slot, coordinate), and each
+nonzero coefficient joins its d nodes), and unchanged by padding a
+summand with coordinates where it is zero. Two or more summands of an
+m-cube carry at most (m-1)^d + 1 nonzero coefficients, so a denser core
+is one cube without a component search, as is a core of one summand.
+The slice ranks are taken one projective line at a time: along
+{(u, t) : t in F_Q} the slice is P + tB, and each contracted form takes
+one of two routes (_line_kernel). When B is invertible, or becomes so
+after a change of basis of the first slot by one of the first 2n
+prime-field points (the sum over projective points is GL_n-invariant,
+and prime-field points are fixed by x -> x^q), the pencil is
+B (tI - N(u)) with N(u) linear in u and solved once per form, and each
+line takes one characteristic polynomial chi(t) =
 det(tI - N(u)) (Hessenberg reduction for n >= 4): the rank is n off the
 zeros of chi and n - 1 at a simple zero. Every other form, and n = 2,
 Q <= 3 and forms with too few lines to pay for the solve, take the node
@@ -87,7 +90,7 @@ t^a and the kernel is 0. count_singular takes the gcd of the partials
 on each line through e_{n-1}, one per Frobenius orbit. The literal
 enumerations stay as oracles (multirank.oracles.count_fiber, and tests).
 Budget gates keep their full-space exponents (count_SF gates the full n
-before it takes the concise core) and raise BudgetError naming the
+before it reduces the form to cubes) and raise BudgetError naming the
 offending one; nothing is silently truncated.
 """
 
@@ -214,29 +217,10 @@ def count_SF(F: MultilinearForm, l: int = 1,
     vectors per orbit (_orbits); the contracted form, with F_Q
     coefficients, takes every head.
 
-    For d >= 3 the budget gate counts the full n. Then, when every slot j
-    has rank r_j < n as a map from its coordinates (_concise_core), the
-    count is Q^((d-1)(n-m)) |S_{F_U}(F_Q)| for the m-cube sub-array F_U,
-    m = max r_j, on each slot's pivot coordinates padded with its lowest
-    other ones: F factors through F_U by maps of rank r_j onto those
-    coordinates, whose kernels, defined over F_q, keep their dimension
-    over every F_Q. m = 0 is the zero form, Q^(n(d-1)). A form with some
-    slot of rank n is counted as it stands.
-
-    The core is then split into its direct summands (_count_sf_blocks):
-    the connected components of its support, whose counts multiply,
-    |S_{F + G}| = |S_F| |S_G|. A form with more than (n-1)^d + 1 nonzero
-    coefficients has one summand, and one summand is counted as it stands.
-    """
-    return _count_sf(F, l, budget_bits, _count_sf_blocks)
-
-
-def _count_sf(F: MultilinearForm, l: int, budget_bits: float, count_core) -> int:
-    """count_SF with count_core(core, l) counting the concise core.
-
-    count_SF passes _count_sf_blocks. The direct-sum checks pass
-    _count_sf_lines, so the sum is counted whole and the product relation
-    |S_{F + G}| = |S_F| |S_G| does not hold by construction.
+    For d >= 3 the budget gate counts the full n. Then F is reduced to
+    cubes (_summands), m_c the side of C_c, and
+    |S_F| = Q^((d-1)n) prod_c |S_{C_c}| / Q^((d-1) sum_c m_c): analytic
+    rank, (d-1)n - log_Q |S_F|, is the sum of the cubes' analytic ranks.
     """
     n, d = F.n, F.d
     if d == 2:
@@ -251,11 +235,29 @@ def _count_sf(F: MultilinearForm, l: int, budget_bits: float, count_core) -> int
     if bits > budget_bits:
         raise BudgetError("S_F slice enumeration q^(l*n*(d-2))", bits, budget_bits,
                           hint="use a smaller l or raise the budget")
+    cubes = _summands(F)
+    return (Q ** ((d - 1) * n) * math.prod(_count_sf_lines(C, l) for C in cubes)
+            // Q ** ((d - 1) * sum(C.n for C in cubes)))
 
+
+def _summands(F: MultilinearForm) -> list[MultilinearForm]:
+    """The cubes count_SF multiplies the counts of: [] for the zero form, else
+    the concise core of F (_concise_core) split into its direct summands
+    (_blocks), each padded to the cube of its longest side (_sub_cube).
+
+    Padding coordinates lie outside the summand, where F is zero, since no
+    nonzero coefficient joins two summands. k >= 2 summands of sides n_c,j,
+    sum_c n_c,j <= m, have at most (m-1)^d + 1 nonzero coefficients, so a
+    denser core is returned whole before any component search, as is a
+    core of one summand.
+    """
     if not any(F.coeffs):
-        return Q ** (n * (d - 1))
+        return []
     core = _concise_core(F)
-    return Q ** ((d - 1) * (n - core.n)) * count_core(core, l)
+    m, d, coeffs = core.n, core.d, core.coeffs
+    if len(coeffs) - coeffs.count(0) > (m - 1) ** d + 1 or len(blocks := _blocks(core)) == 1:
+        return [core]
+    return [_sub_cube(core, coords) for coords in blocks]
 
 
 def _concise_core(F: MultilinearForm) -> MultilinearForm:
@@ -325,29 +327,6 @@ def _blocks(F: MultilinearForm) -> list[list[list[int]]]:
     for a in sorted(supported):
         blocks.setdefault(find(a), [[] for _ in range(d)])[a // n].append(a % n)
     return list(blocks.values())
-
-
-def _count_sf_blocks(F: MultilinearForm, l: int) -> int:
-    """_count_sf_lines(F, l) as the product of the counts of F's direct summands.
-
-    A summand (_blocks) is padded to the cube of its longest side by
-    coordinates outside it, where F is zero, since no nonzero coefficient
-    joins two summands; each padding coordinate in slots 0..d-2 is free,
-    a factor Q the count of the cube divides out, and slot d-1 is the one
-    the tuples kill, so padding it costs nothing. A coordinate of slots
-    0..d-2 in no summand is free, a factor Q. k >= 2 summands of sides
-    n_c,j, sum_c n_c,j <= n, have at most (n-1)^d + 1 nonzero coefficients,
-    so a form with more is counted whole before any component search.
-    """
-    n, d, coeffs = F.n, F.d, F.coeffs
-    if len(coeffs) - coeffs.count(0) > (n - 1) ** d + 1 or len(blocks := _blocks(F)) == 1:
-        return _count_sf_lines(F, l)
-    Q = F.field.q ** l
-    count = Q ** ((d - 1) * n - sum(len(cs) for coords in blocks for cs in coords[:-1]))
-    for coords in blocks:
-        m = max(map(len, coords))
-        count *= _count_sf_lines(_sub_cube(F, coords), l) // Q ** sum(m - len(cs) for cs in coords[:-1])
-    return count
 
 
 def _count_sf_lines(F: MultilinearForm, l: int) -> int:

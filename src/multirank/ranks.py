@@ -33,6 +33,7 @@ from .counting import (
     count_singular,
     matrix_rank,
     sf_profile,
+    BOX_BUDGET_BITS,
     DEFAULT_BUDGET_BITS,
 )
 from .tensor import (
@@ -45,6 +46,9 @@ from .tensor import (
 
 STABLE_GAP = 0.25
 SEARCH_NODE_LIMIT = 1 << 22
+# the budget gates of the partition-rank (rank-one) and strength (product) catalogs
+PRK_BUDGET_BITS = 24
+STR_BUDGET_BITS = 22
 
 
 def _log_in_base(count: int, base: int) -> float:
@@ -257,7 +261,7 @@ def _catalog(parts, q: int, term):
 
 
 @functools.lru_cache(maxsize=32)
-def rank_one_catalog(field: FieldSpec, n: int, d: int, budget_bits: float = 24.0):
+def rank_one_catalog(field: FieldSpec, n: int, d: int, budget_bits: float = PRK_BUDGET_BITS):
     """All partition-rank-one tensors, deduplicated by coefficient array.
 
     Returns (tensors, terms, index): tensors[i] is the expanded coefficient
@@ -367,7 +371,7 @@ def _fewest_terms(catalog, target: tuple[int, ...], cap: int, K, what: str,
     raise RuntimeError(f"{what}: missed the trivial decomposition; unreachable")
 
 
-def prk_exact_small(F: MultilinearForm, budget_bits: float = 24.0) -> PrkResult:
+def prk_exact_small(F: MultilinearForm, budget_bits: float = PRK_BUDGET_BITS) -> PrkResult:
     """Exact partition rank by the catalog search, with certificate.
 
     d = 2 takes matrix rank. Otherwise the cap is the slice decomposition,
@@ -385,7 +389,7 @@ def prk_exact_small(F: MultilinearForm, budget_bits: float = 24.0) -> PrkResult:
     return PrkResult(len(cert), len(cert), True, cert)
 
 
-def prk_bounds(F: MultilinearForm, budget_bits: float = 24.0,
+def prk_bounds(F: MultilinearForm, budget_bits: float = PRK_BUDGET_BITS,
                ark_budget_bits: float = DEFAULT_BUDGET_BITS) -> PrkResult:
     """Bounds from the analytic-rank floor and the slice certificate.
 
@@ -459,7 +463,7 @@ def _poly_multiply_dense(g: tuple[int, ...], gb, h: tuple[int, ...], hb,
 
 
 @functools.lru_cache(maxsize=32)
-def product_catalog(field: FieldSpec, n: int, d: int, budget_bits: float = 22.0):
+def product_catalog(field: FieldSpec, n: int, d: int, budget_bits: float = STR_BUDGET_BITS):
     """All products g*h of complementary-degree forms, deduplicated.
 
     g runs over projective representatives of degree k <= floor(d/2)
@@ -502,7 +506,7 @@ def verify_strength_certificate(f: HomogeneousForm,
     return tuple(acc) == _poly_dense(f, basis_d)
 
 
-def str_exact_small(f: HomogeneousForm, budget_bits: float = 22.0) -> StrResult:
+def str_exact_small(f: HomogeneousForm, budget_bits: float = STR_BUDGET_BITS) -> StrResult:
     """Exact strength by iterative deepening over products of lower-degree forms."""
     if f.field is None:
         raise ValueError("strength search needs a finite-field polynomial")
@@ -567,7 +571,7 @@ def gamma_q_estimate(F: MultilinearForm, R_max: int,
 
 
 def delta0_estimate(G: IntMultilinearForm, L_grid: Sequence[int],
-                    budget_bits: float = 34.0) -> HeightRankEstimate:
+                    budget_bits: float = BOX_BUDGET_BITS) -> HeightRankEstimate:
     """delta_L = n(d-1) - log_L(N_L(G_L)) per grid point.
 
     N uses entries in [0, L) and vanishing mod L.

@@ -24,7 +24,6 @@ from .errors import BudgetError
 from .field import FieldSpec, embed, make_field
 from .counting import (
     BoxSpec,
-    _count_sf,
     _count_sf_lines,
     box_solutions,
     count_box,
@@ -32,6 +31,7 @@ from .counting import (
     count_SF,
     fiber_counts,
     level_form,
+    BOX_BUDGET_BITS,
     DEFAULT_BUDGET_BITS,
 )
 from .charzero import _exact_values, _lift_zone
@@ -182,7 +182,7 @@ def verify_eval_fibers(F: MultilinearForm, R_max: int,
 # ---------------------------------------------------------------------------
 
 def verify_scaling_char0(G: IntMultilinearForm, R: int, L: int,
-                         budget_bits: float = 34.0) -> VerifyReport:
+                         budget_bits: float = BOX_BUDGET_BITS) -> VerifyReport:
     """N-count in [0, LR) is at most L^(n(d-1)) times the Z-count in (-R, R)."""
     rep = VerifyReport("scale-char0", {"n": G.n, "d": G.d, "R": R, "L": L})
     start = time.perf_counter()
@@ -200,7 +200,7 @@ def verify_scaling_char0(G: IntMultilinearForm, R: int, L: int,
 
 
 def verify_lift_threshold(G: IntMultilinearForm, L: int, sigma: float,
-                          budget_bits: float = 34.0) -> VerifyReport:
+                          budget_bits: float = BOX_BUDGET_BITS) -> VerifyReport:
     """Small-height solutions mod L lift to exact integer solutions.
 
     charzero's _lift_zone gives the box ||x|| < B = ceil(L^sigma) and
@@ -316,10 +316,11 @@ def verify_rank_chain(corpus: Sequence[MultilinearForm], l_max: int = 8,
             if (A.n + B.n) ** A.d > 1 << 20:
                 continue
             S = direct_sum(A, B)
-            try:  # S counted whole: count_SF itself would multiply its summands' counts
-                cs = _count_sf(S, 1, budget_bits, _count_sf_lines)
-            except BudgetError:
-                continue
+            # S counted whole, as one cube, since count_SF would multiply its
+            # summands' counts; a d = 2 sum is never split. S fits count_SF's
+            # gate at l = 1: grk_estimate counted A and B at l = 2 within it,
+            # and n_A + n_B <= 2 max(n_A, n_B).
+            cs = _count_sf_lines(S, 1) if S.d > 2 else count_SF(S, 1, budget_bits)
             rep.cases += 1
             ca, cb = count_SF(A, 1, budget_bits), count_SF(B, 1, budget_bits)
             if cs != ca * cb:
@@ -348,7 +349,7 @@ def verify_polar_sandwich(polys: Sequence[HomogeneousForm], l_max: int = 2,
         if f.field.p <= f.d:
             raise ValueError("characteristic must exceed the degree")
         inst = {"poly": tensorio.poly_to_dict(f)}
-        s = str_exact_small(f, budget_bits=22.0).value
+        s = str_exact_small(f).value
         P = polarize(f)
         pr = prk_exact_small(P)
         binom = math.comb(f.d, f.d // 2)

@@ -39,6 +39,7 @@ from multirank.tensor import (
     IntMultilinearForm,
     MultilinearForm,
     diagonal,
+    direct_sum,
     int_diagonal,
     random_form,
     random_int_form,
@@ -79,6 +80,23 @@ def test_count_sf_zero_tensor():
     for n, d, l, spec in [(2, 3, 1, F2), (1, 3, 2, F3), (2, 2, 3, F2)]:
         Z = MultilinearForm.zeros(spec, d, n)
         assert count_SF(Z, l) == spec.q ** (l * n * (d - 1))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_count_sf_singular_matrices_above_level_one(p, e):
+    """d = 2 counts the kernel, Q^(n - rank), at every level: a rank-one
+    2 x 2 and a rank-two 3 x 3 matrix over F_q against the literal
+    enumeration at l = 1..3."""
+    field = make_field(p, e)
+    K, q = kernel(field), field.q
+    u, v = (1, q - 1), (q - 1, 1)
+    r0, r1 = (1, 0, q - 1), (0, 1, 1)
+    for n, r, coeffs in [(2, 1, [K.mul(a, b) for a in u for b in v]),
+                         (3, 2, [*r0, *r1, *map(K.add, r0, r1)])]:
+        F = MultilinearForm(field, 2, n, tuple(coeffs))
+        assert matrix_rank([coeffs[i * n:(i + 1) * n] for i in range(n)], n, K) == r
+        for l in (1, 2, 3):
+            assert count_SF(F, l) == count_SF_naive(F, l) == q ** (l * (n - r)), (n, l)
 
 
 def test_count_sf_diagonal_example():
@@ -1280,6 +1298,43 @@ def test_count_sf_direct_summands_property(shape, s):
     assert count_SF(F, l) == want
     if (q ** l) ** (n * (d - 1)) <= 1 << 14:
         assert count_SF_naive(F, l) == want
+
+
+F4 = make_field(2, 2)
+# of rank 3, 2 and 2 in its slots, supported on 3 x 2 x 2 coordinates
+A322 = MultilinearForm.from_entries(F2, 3, 3, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (2, 1, 0): 1})
+# (name, form, side of its concise core, sides of the cubes _summands returns, in order)
+SUMMAND_CASES = [
+    ("zero", MultilinearForm.zeros(F2, 3, 3), 0, []),
+    ("concise", random_form(F2, 3, 3, 1), 3, [3]),
+    ("diagonal", diagonal(2, 3, 3, F2), 2, [1, 1]),
+    ("weil", weil_restrict(diagonal(2, 2, 3, F4), embed(F2, F4)), 4, [2, 2]),
+    ("unequal sides", direct_sum(diagonal(1, 2, 3, F2), random_form(F2, 3, 2, 1)), 3, [1, 2]),
+    # (x, y, z) -> (x + y, y + z, x + z) has rank 2 over F_2; its kernel is spanned by (1, 1, 1)
+    ("pulled back", transformed(random_form(F2, 3, 3, 0), [[[1, 1, 0], [0, 1, 1], [1, 0, 1]]] * 3), 2, [2]),
+    # summands of sides 3 x 2 x 2 and 2 x 3 x 2: the cubes' sides sum to more than the core's
+    ("padded", direct_sum(A322, permuted(A322, (1, 0, 2))), 5, [3, 3]),
+]
+
+
+@pytest.mark.parametrize("name,F,core,sides", SUMMAND_CASES, ids=[c[0] for c in SUMMAND_CASES])
+def test_summands_are_the_cubes_count_sf_counts(name, F, core, sides):
+    """_summands: none for the zero form, a concise form itself, else its
+    concise core split into direct summands padded to cubes. count_SF from
+    the cubes matches the literal enumeration where it has at most 2^16
+    tuples, and the whole form counted as one cube otherwise."""
+    cubes = counting._summands(F)
+    assert [C.n for C in cubes] == sides
+    if core:
+        assert counting._concise_core(F).n == core
+    if name == "concise":
+        assert cubes == [F]
+    if name == "unequal sides":
+        assert [count_SF(F, l) for l in (1, 2)] == [84, 5488]
+    for l in (1, 2):
+        naive = (F.field.q ** l) ** (F.n * (F.d - 1)) <= 1 << 16
+        want = count_SF_naive(F, l) if naive else counting._count_sf_lines(F, l)
+        assert count_SF(F, l) == want, l
 
 
 def assert_frobenius_orbits(K, n, k, e):

@@ -275,6 +275,15 @@ def test_rank_chain_zero_tensor():
     assert rep.passed
 
 
+
+def test_rank_chain_counts_d2_direct_sums():
+    """Matrices take count_SF's d = 2 branch, also for the direct sums of
+    consecutive pairs: 4 forms and 3 sums, as before count_SF reduced forms
+    to cubes."""
+    rep = verify_rank_chain([random_form(F2, 2, 2, s) for s in range(4)], l_max=3)
+    assert (rep.cases, rep.passed, rep.advisories) == (7, True, [])
+
+
 def test_polar_rejects_small_characteristic():
     from multirank.tensor import HomogeneousForm
     f = HomogeneousForm.from_terms(F2, 2, 3, {(3, 0): 1})
