@@ -7,8 +7,15 @@ returns the pivot rows and columns: matrix_rank counts them, the line
 kernel takes its nonzero minor from them, field._rank_det multiplies the
 pivots (cofactors instead for n <= 3), and nullspace_basis solves the
 pivot rows by back substitution. The line kernel's characteristic
-polynomial route adds one Gauss-Jordan solve per form (field._solve) and
-one Hessenberg reduction per line (field._charpoly).
+polynomial route adds one Gauss-Jordan solve per form over F_q, made once
+for all its levels (field._solve), and one Hessenberg reduction per line
+(field._charpoly).
+
+What the counters need of a form at every level is made once, over F_q,
+in its plan (_plan, a bounded cache keyed by the form's value): the gate
+exponent of count_SF, its cubes, each d = 3 cube's characteristic
+polynomial set-up and a polynomial's partials. A level maps the set-up
+and the partials into F_Q through the level embedding's index table.
 
 The primary engine for |S_F| is the rank trick: summing
 Q^(n - rank(slice_matrix)) over (d-2)-tuples instead of scanning all
@@ -39,8 +46,10 @@ one of two routes (_line_kernel). When B is invertible, or becomes so
 after a change of basis of the first slot by one of the first 2n
 prime-field points (the sum over projective points is GL_n-invariant,
 and prime-field points are fixed by x -> x^q), the pencil is
-B (tI - N(u)) with N(u) linear in u and solved once per form, and each
-line takes one characteristic polynomial chi(t) =
+B (tI - N(u)) with N(u) linear in u, solved once per form over F_q and
+mapped into each F_Q (d >= 4 solves once per contracted prefix, whose
+coefficients lie in F_Q), and each line takes one characteristic
+polynomial chi(t) =
 det(tI - N(u)) (Hessenberg reduction for n >= 4): the rank is n off the
 zeros of chi and n - 1 at a simple zero. Every other form, and n = 2,
 Q <= 3 and forms with too few lines to pay for the solve, take the node
@@ -104,9 +113,9 @@ from itertools import islice, product, repeat
 from typing import Sequence
 
 from .errors import BudgetError
-from .field import (FieldSpec, _charpoly, _eliminate, _poly_add, _poly_field_roots, _poly_gcd,
-                    _poly_mul_trunc, _poly_roots, _poly_trim, _rank_det, _solve, _square_rows,
-                    embed, kernel, make_field)
+from .field import (FieldSpec, _charpoly, _contract_poly_first, _eliminate, _last_block_system,
+                    _poly_field_roots, _poly_gcd, _poly_mul_trunc, _poly_roots, _poly_trim, _rank_det,
+                    _solve, _square_rows, _unit_generator, embed, kernel, make_field)
 from .tensor import HomogeneousForm, IntMultilinearForm, MultilinearForm, base_change, poly_base_change
 
 DEFAULT_BUDGET_BITS = 28
@@ -199,6 +208,62 @@ def _projective(q: int, n: int):
 
 
 # ---------------------------------------------------------------------------
+# the per-form plan
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def _plan(form):
+    """The plan of a form (a MultilinearForm or a HomogeneousForm), by value;
+    the last 64 are kept, so the levels of one form share one plan."""
+    return _Plan(form)
+
+
+class _Plan:
+    """What the counters need of one form at every level, made once over F_q.
+
+    count_SF (and sf_profile, level by level through it), count_singular
+    and verify's choice of level read it. bits is count_SF's gate, its one
+    owner. A MultilinearForm's plan holds its cubes (_summands) and each
+    d = 3 cube's characteristic polynomial set-up, made over F_q the first
+    time a level takes that route (_chi_setup) and mapped into F_Q by the
+    level embedding's index table; a HomogeneousForm's holds its partials
+    as (head exponents, t-exponent, coefficient) terms over F_q. Each part
+    depends only on the form over F_q: the embedding is a ring embedding
+    fixing the prime field, so it maps B^-1 (-G_j) over F_q to B^-1 (-G_j)
+    over F_Q, with the same candidate v, and each partial to the partial
+    of f_l. Plain slots, no cached properties: a plan is made for every
+    form counted, most of them at one level only.
+    """
+
+    __slots__ = ("cubes", "partials", "setups")
+
+    def __init__(self, form):
+        self.setups = {}
+        if isinstance(form, HomogeneousForm):
+            self.partials = [[(exp[:-1], exp[-1], c) for exp, c in form.partial(j).terms]
+                             for j in range(form.n)]
+        else:
+            self.cubes = _summands(form)
+
+    @staticmethod
+    def bits(F, l):
+        """The exponent of count_SF's gate at level l: (d-2) n l log2 q."""
+        return (F.d - 2) * F.n * l * math.log2(F.field.q)
+
+    def setup(self, C, l):
+        """_chi_setup of the cube C at level l."""
+        if C not in self.setups:
+            n, K = C.n, C._kernel
+            blocks = [C.coeffs[j * n * n:(j + 1) * n * n] for j in range(n)]
+            self.setups[C] = _chi_setup(blocks, _rank_det(blocks[-1], n, K)[1], n, K)
+        Ns = self.setups[C]
+        if Ns and l > 1:
+            im = _level_embedding(C.field, l)._images
+            return [[im[x] for x in N] for N in Ns]
+        return Ns
+
+
+# ---------------------------------------------------------------------------
 # |S_F| counting
 # ---------------------------------------------------------------------------
 
@@ -230,13 +295,14 @@ def count_SF(F: MultilinearForm, l: int = 1,
     if l < 1:
         raise ValueError("level must be >= 1")
 
-    Q = F.field.q ** l
-    bits = (d - 2) * n * math.log2(Q)
+    Q, bits = F.field.q ** l, _Plan.bits(F, l)
     if bits > budget_bits:
         raise BudgetError("S_F slice enumeration q^(l*n*(d-2))", bits, budget_bits,
                           hint="use a smaller l or raise the budget")
-    cubes = _summands(F)
-    return (Q ** ((d - 1) * n) * math.prod(_count_sf_lines(C, l) for C in cubes)
+    plan = _plan(F)
+    cubes = plan.cubes
+    return (Q ** ((d - 1) * n) * math.prod(_count_sf_lines(C, l, functools.partial(plan.setup, C, l))
+                                           for C in cubes)
             // Q ** ((d - 1) * sum(C.n for C in cubes)))
 
 
@@ -302,42 +368,35 @@ def _sub_cube(F: MultilinearForm, coords: Sequence[Sequence[int]]) -> Multilinea
 def _blocks(F: MultilinearForm) -> list[list[list[int]]]:
     """The connected components of F's support, each as its coordinates per slot.
 
-    The nodes are the pairs (slot j, coordinate i), and every nonzero
-    coefficient joins its d nodes. A coordinate with no nonzero
-    coefficient is in no component.
+    The nodes are the numbers j n + i of the pairs (slot j, coordinate i),
+    and every nonzero coefficient joins its d nodes: its node set absorbs
+    every component it meets. Components come in order of their least
+    node. A coordinate with no nonzero coefficient is in no component.
     """
     n, d = F.n, F.d
-    strides = [(j * n, n ** (d - 1 - j)) for j in range(d)]
-    parent = list(range(d * n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
-    supported = set()
+    comps: list[set[int]] = []
     for k, c in enumerate(F.coeffs):
         if c:
-            nodes = [j + k // s % n for j, s in strides]
-            supported.update(nodes)
-            root = find(nodes[0])
-            for a in nodes[1:]:
-                parent[find(a)] = root
-    blocks: dict[int, list[list[int]]] = {}
-    for a in sorted(supported):
-        blocks.setdefault(find(a), [[] for _ in range(d)])[a // n].append(a % n)
-    return list(blocks.values())
+            nodes = {j * n + k // n ** (d - 1 - j) % n for j in range(d)}
+            for b in [b for b in comps if b & nodes]:
+                comps.remove(b)
+                nodes |= b
+            comps.append(nodes)
+    return [[[a % n for a in sorted(b) if a // n == j] for j in range(d)] for b in sorted(comps, key=min)]
 
 
-def _count_sf_lines(F: MultilinearForm, l: int) -> int:
-    """count_SF for d >= 3 past its gate: the projective slices, line by line."""
+def _count_sf_lines(F: MultilinearForm, l: int, setup=None) -> int:
+    """count_SF for d >= 3 past its gate: the projective slices, line by line.
+
+    setup, if given, returns F's _chi_setup at level l (_Plan.setup); a
+    d >= 4 form contracts its prefixes, with F_Q coefficients, and ignores it.
+    """
     Fl = level_form(F, l)
     K = kernel(Fl.field)
-    Q, n, d = K.q, F.n, F.d
-    q = F.field.q
+    Q, n, d, q = K.q, F.n, F.d, F.field.q
     slice_sum = _line_kernel(K, n)
     heads = _orbits(K, n - 1, 1, q if d == 3 else Q)
-    proj = sum(w * slice_sum(Fl._contract_prefix(vecs), heads)
+    proj = sum(w * slice_sum(Fl._contract_prefix(vecs), heads, setup if d == 3 else None)
                for vecs, w in _orbits(K, n, d - 3, q))
     zero_tuples = Q ** (n * (d - 2)) - (Q ** n - 1) ** (d - 2)
     return zero_tuples * Q ** n + (Q - 1) ** (d - 2) * proj
@@ -353,11 +412,8 @@ def count_SF_naive(F: MultilinearForm, l: int = 1,
     if bits > budget_bits:
         raise BudgetError("naive S_F enumeration q^(l*n*(d-1))", bits, budget_bits)
 
-    count = 0
-    for vecs in product(product(range(Q), repeat=n), repeat=d - 1):
-        if not any(Fl._contract_prefix(vecs)):
-            count += 1
-    return count
+    return sum(not any(Fl._contract_prefix(vecs))
+               for vecs in product(product(range(Q), repeat=n), repeat=d - 1))
 
 
 def _orbit_reps(items: Sequence, k: int, gens) -> tuple:
@@ -410,7 +466,7 @@ def _orbits(K, n: int, k: int, q: int) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _line_kernel(K, n: int):
-    """The function (G, heads) -> sum over projective v of Q^(n - rank(sum_j v_j G_j)).
+    """The function (G, heads, setup=None) -> sum over projective v of Q^(n - rank(sum_j v_j G_j)).
 
     G is a flat n x n x n form and G_j its n x n block with first index j.
     The projective points are the lines {(u, t) : t in F_Q}, one for each
@@ -432,8 +488,10 @@ def _line_kernel(K, n: int):
     under GL_n acting on the first slot, which permutes the projective
     points and carries each slice along; and v has prime-field
     coordinates, which x -> x^q fixes, so the Frobenius orbits of the heads
-    and their weights stay valid. With N_j = -B^-1 G_j, solved once per
-    form (_solve), P + tB = B (tI - N(u)) for N(u) = sum_j u_j N_j, so
+    and their weights stay valid. With N_j = -B^-1 G_j (_chi_setup), made
+    once per form over F_q and mapped into F_Q when count_SF's plan passes
+    setup, and once per call otherwise (a d >= 4 prefix, a direct call),
+    P + tB = B (tI - N(u)) for N(u) = sum_j u_j N_j, so
     det(P + tB) = det B chi(t) with chi(t) = det(tI - N(u)) (_charpoly:
     closed form for n <= 3, Hessenberg reduction and its recurrence
     above). A line costs N(u), chi and the zeros of chi in F_Q: off them
@@ -518,18 +576,6 @@ def _line_kernel(K, n: int):
     if scan:
         powers = [[K.pow(t, k) for t in range(Q)] for k in range(1, n + 1)]
 
-    def combine(u: Sequence[int], mats) -> list[int]:
-        """sum_j u_j mats[j] for a projective point u, whose first nonzero entry is 1."""
-        P = None
-        for x, bj in zip(u, mats):
-            if x and P is None:
-                P = list(bj)
-            elif x:
-                for i in range(nn):
-                    if bj[i]:
-                        P[i] = add(P[i], bj[i] if x == 1 else mul(x, bj[i]))
-        return P
-
     def pencil(P: Sequence[int], B: Sequence[int], t: int) -> Sequence[int]:
         if not t:
             return P
@@ -594,35 +640,58 @@ def _line_kernel(K, n: int):
         c = [vals[0]] + [functools.reduce(add, map(mul, row, vals)) for row in inv_V] + [det_B]
         return weight[r] * Q + zeros(c, r, P, B)
 
-    def slice_sum(G: Sequence[int], heads) -> int:
+    def slice_sum(G: Sequence[int], heads, setup=None) -> int:
         blocks = [G[j * nn:(j + 1) * nn] for j in range(n)]
         B = blocks[n - 1]
         rank_B, det_B = _rank_det(B, n, K)
-        X = None
-        if chi and rank_B >= n - 1 and len(heads) * _CHI >= n ** 3:
-            # B, or a slice at a prime-field point v made the last basis vector
-            negated = [[K.neg(x) for x in b] for b in blocks]
-            for v in [(0,) * (n - 1) + (1,)] if det_B else islice(_projective(K.p, n), 2 * n):
-                k = v.index(1)
-                others = negated[:k] + negated[k + 1:]
-                X = _solve(combine(v, blocks), [[x for b in others for x in b[i * n:(i + 1) * n]]
-                                                for i in range(n)], n, K)
-                if X:
-                    break
-        if not X:
+        Ns = chi and rank_B >= n - 1 and len(heads) * _CHI >= n ** 3 and (
+            setup() if setup else _chi_setup(blocks, det_B, n, K))
+        if not Ns:
             total = weight[rank_B]
             for (u,), w in heads:
-                total += w * line(combine(u, blocks), B, det_B)
+                total += w * line(_combine(u, blocks, K), B, det_B)
             return total
-        # X holds B^-1 (-G_j) side by side, for the blocks G_j other than B
-        Ns = [[x for row in X for x in row[j * n:(j + 1) * n]] for j in range(n - 1)]
         total = weight[n]
         for (u,), w in heads:
-            N = combine(u, Ns)
+            N = _combine(u, Ns, K)
             total += w * (weight[n] * Q + zeros(_charpoly(N, n, K), n, N, minus_eye))
         return total
 
     return slice_sum
+
+
+def _combine(u: Sequence[int], mats, K) -> list[int]:
+    """sum_j u_j mats[j] for a projective point u, whose first nonzero entry is 1."""
+    add, mul, P = K.add, K.mul, None
+    for x, bj in zip(u, mats):
+        if x and P is None:
+            P = list(bj)
+        elif x:
+            for i, b in enumerate(bj):
+                if b:
+                    P[i] = add(P[i], b if x == 1 else mul(x, b))
+    return P
+
+
+def _chi_setup(blocks: Sequence[Sequence[int]], det_B: int, n: int, K) -> list | None:
+    """The flat N_j = B^-1 (-G_j) of the characteristic polynomial route, or None.
+
+    blocks are the n flat n x n blocks G_j of a form over K, and B = G_(n-1)
+    has determinant det_B. If det_B = 0, B is the slice sum_j v_j G_j at the
+    first of the first 2n points v of projective_points(p, n) where it is
+    invertible, v becomes the last basis vector of the first slot, and the
+    G_j are the blocks other than the one at v's leading coordinate, in
+    order (_line_kernel); None when no candidate is invertible.
+    """
+    negated = [[K.neg(x) for x in b] for b in blocks]
+    for v in [(0,) * (n - 1) + (1,)] if det_B else islice(_projective(K.p, n), 2 * n):
+        k = v.index(1)
+        others = negated[:k] + negated[k + 1:]
+        X = _solve(_combine(v, blocks, K), [[x for b in others for x in b[i * n:(i + 1) * n]]
+                                            for i in range(n)], n, K)
+        if X:
+            # X holds B^-1 (-G_j) side by side
+            return [[x for row in X for x in row[j * n:(j + 1) * n]] for j in range(n - 1)]
 
 
 def sf_profile(F: MultilinearForm, l_max: int,
@@ -666,13 +735,17 @@ def count_singular(f: HomogeneousForm, l: int = 1,
     """
     if f.field is None:
         raise ValueError("count_singular needs a finite-field polynomial")
-    fl = level_poly(f, l)
-    K = kernel(fl.field)
+    if l == 1:
+        K, im = kernel(f.field), range(f.field.q)
+    else:
+        emb = _level_embedding(f.field, l)
+        K, im = kernel(emb.target), emb._images
     Q, n, mul, add, pw = K.q, f.n, K.mul, K.add, K.pow
     bits = n * math.log2(Q)
     if bits > budget_bits:
         raise BudgetError("singular locus enumeration q^(l*n)", bits, budget_bits)
-    partials = [[(exp[:-1], exp[-1], c) for exp, c in fl.partial(j).terms] for j in range(n)]
+    # the partials of f over F_q, their coefficients mapped into F_Q
+    partials = [[(head, e, im[c]) for head, e, c in terms] for terms in _plan(f).partials]
 
     def line(u: Sequence[int]) -> int:
         g: tuple[int, ...] = ()
@@ -695,42 +768,6 @@ def count_singular(f: HomogeneousForm, l: int = 1,
 # ---------------------------------------------------------------------------
 # polynomial-ring solution counts N_R
 # ---------------------------------------------------------------------------
-
-def _contract_poly_first(flat: Sequence[Sequence[int]], slots: int, n: int,
-                         vec: Sequence[Sequence[int]], K, trunc: int | None) -> list[tuple[int, ...]]:
-    block = n ** (slots - 1)
-    out: list[tuple[int, ...]] = [()] * block
-    for i, x in enumerate(vec):
-        if any(x):
-            base = i * block
-            for j in range(block):
-                c = flat[base + j]
-                if c:
-                    out[j] = _poly_add(out[j], _poly_mul_trunc(x, c, K, trunc), K)
-    return out
-
-
-def _last_block_system(M: Sequence[Sequence[int]], n: int, R: int,
-                       nrows_deg: int) -> list[list[int]]:
-    """Linear system over F_q for the last block.
-
-    M[j*n + i] is the polynomial F(prefix, e_j, e_i); unknowns are the
-    coefficients y_{j,s} (s < R) of the last block; equations are the
-    t-coefficients of degree < nrows_deg of sum_j y_j * M[j][i], so
-    nrows_deg = a gives the system mod t^a.
-    """
-    rows = []
-    for i in range(n):
-        for ell in range(nrows_deg):
-            row = []
-            for j in range(n):
-                poly = M[j * n + i]
-                for s in range(R):
-                    k = ell - s
-                    row.append(poly[k] if 0 <= k < len(poly) else 0)
-            rows.append(row)
-    return rows
-
 
 @functools.lru_cache(maxsize=None)
 def _unit_partition(K, n: int, a: int) -> tuple:
@@ -772,11 +809,6 @@ def _unit_orbits(K, n: int, a: int, b: int) -> tuple:
         keys = sorted(set(zip(*[multiples(c[:b]) for c in x])))
         out.append((x, tuple(keys), size // len(keys)))
     return tuple(out)
-
-
-def _unit_generator(K) -> int:
-    """The least generator of F_q^*."""
-    return next(c for c in range(1, K.q) if len({K.pow(c, i) for i in range(K.q - 1)}) == K.q - 1)
 
 
 @functools.lru_cache(maxsize=None)

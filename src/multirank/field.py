@@ -22,15 +22,21 @@ term first. The _poly_* helpers that take a kernel (product, remainder,
 gcd, power mod m, the roots in F_q and their splitting) serve Rabin's
 irreducibility test over F_p, the F_q[t] counters and the one zero
 finder of count_SF's line kernel, which takes each line's polynomial in
-the monomial basis on both of its routes. The
-matrix helpers beside them (elimination, rank and determinant, a
+the monomial basis on both of its routes; the F_q[t] counters also
+contract forms whose entries are such polynomials (_contract_poly_first).
+The matrix helpers beside them (elimination, rank and determinant, a
 Gauss-Jordan solve, the characteristic polynomial by Hessenberg
-reduction) work on element indices the same way.
+reduction, the linear system of a matrix of polynomials
+(_last_block_system)) work on element indices the same way, and
+_unit_generator finds the least generator of F_q^*.
 
 Embeddings between F_{p^e} and F_{p^{e*l}} are found by exhaustive root
 search of the source modulus in the target, taking the least root, and are
-checked on construction. No compatible tower of embeddings is attempted:
-every base change goes through an explicitly constructed FieldEmbedding.
+checked exactly on construction: the map is F_p-linear by construction, so
+1 -> 1 and the sums and products of the e^2 pairs of basis monomials x^i,
+x^j prove it a ring homomorphism, and hence injective. No compatible tower
+of embeddings is attempted: every base change goes through an explicitly
+constructed FieldEmbedding.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetError
-from .rng import SplitMix64
 
 MAX_FIELD_SIZE = 1 << 20
 
@@ -139,6 +144,24 @@ def _poly_add(a: Sequence[int], b: Sequence[int], K) -> tuple[int, ...]:
         if x:
             out[i] = K.add(out[i], x)
     return tuple(out)
+
+
+def _contract_poly_first(flat: Sequence[Sequence[int]], slots: int, n: int,
+                         vec: Sequence[Sequence[int]], K, trunc: int | None) -> list[tuple[int, ...]]:
+    """Contract the first slot of a flat slots-slot array of polynomials with n polynomials.
+
+    Each product is taken mod t^trunc when trunc is set (_poly_mul_trunc).
+    """
+    block = n ** (slots - 1)
+    out: list[tuple[int, ...]] = [()] * block
+    for i, x in enumerate(vec):
+        if any(x):
+            base = i * block
+            for j in range(block):
+                c = flat[base + j]
+                if c:
+                    out[j] = _poly_add(out[j], _poly_mul_trunc(x, c, K, trunc), K)
+    return out
 
 
 def _poly_divmod(a: Sequence[int], m: Sequence[int], K) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -289,6 +312,28 @@ def _eliminate(rows: list[list[int]], ncols: int, K) -> tuple[list[int], list[in
         if not live:
             break
     return prows, pcols
+
+
+def _last_block_system(M: Sequence[Sequence[int]], n: int, R: int,
+                       nrows_deg: int) -> list[list[int]]:
+    """Linear system over F_q for the last block.
+
+    M[j*n + i] is the polynomial F(prefix, e_j, e_i); unknowns are the
+    coefficients y_{j,s} (s < R) of the last block; equations are the
+    t-coefficients of degree < nrows_deg of sum_j y_j * M[j][i], so
+    nrows_deg = a gives the system mod t^a.
+    """
+    rows = []
+    for i in range(n):
+        for ell in range(nrows_deg):
+            row = []
+            for j in range(n):
+                poly = M[j * n + i]
+                for s in range(R):
+                    k = ell - s
+                    row.append(poly[k] if 0 <= k < len(poly) else 0)
+            rows.append(row)
+    return rows
 
 
 def _rank_det(M: Sequence[int], n: int, K) -> tuple[int, int]:
@@ -819,6 +864,11 @@ def kernel(spec: FieldSpec) -> _Kernel:
     return _Kernel(spec)
 
 
+def _unit_generator(K) -> int:
+    """The least generator of F_q^*."""
+    return next(c for c in range(1, K.q) if len({K.pow(c, i) for i in range(K.q - 1)}) == K.q - 1)
+
+
 # ---------------------------------------------------------------------------
 # subfield embeddings
 # ---------------------------------------------------------------------------
@@ -863,29 +913,37 @@ class FieldEmbedding:
         return FieldElement(self.target, K.digits_of(self.apply_index(a.index)))
 
     @functools.cached_property
+    def _images(self) -> tuple[int, ...]:
+        """apply_index of every source index, in index order: a table to map by."""
+        return tuple(map(self.apply_index, range(self.source.q)))
+
+    @functools.cached_property
     def preimage_index(self) -> dict[int, int]:
         """Map image index -> source index over the whole source field."""
-        return {self.apply_index(i): i for i in range(self.source.q)}
+        return {v: i for i, v in enumerate(self._images)}
 
 
 def _check_embedding(emb: FieldEmbedding) -> None:
-    # sampled ring-homomorphism check on 100 deterministic pairs
-    rng = SplitMix64((emb.source.q << 32) ^ emb.target.q ^ 0xE5BEDD1)
-    q = emb.source.q
-    Ks, Kt = kernel(emb.source), kernel(emb.target)
-    seen = {}
-    for _ in range(100):
-        a, b = rng.below(q), rng.below(q)
-        fa, fb = emb.apply_index(a), emb.apply_index(b)
-        if emb.apply_index(Ks.add(a, b)) != Kt.add(fa, fb):
+    """Raise RuntimeError unless emb is a ring embedding; exact, in O(e^2) operations.
+
+    apply_index sends sum_i d_i x^i to sum_i d_i g^i, so it is F_p-linear
+    by construction. A linear map with 1 -> 1 that respects the product of
+    every pair of basis monomials x^i, x^j (i, j < e) respects every
+    product, by bilinearity, and is a ring homomorphism; one of a field
+    with 1 -> 1 has kernel 0. The sums of the same pairs check the linear
+    part itself. A generator image that is not a root of the source
+    modulus fails the product x^(e-1) x (e >= 2).
+    """
+    Ks, Kt, ap = kernel(emb.source), kernel(emb.target), emb.apply_index
+    if ap(1) != 1:
+        raise RuntimeError("embedding does not map 1 to 1")
+    monomials = [emb.source.p ** i for i in range(emb.source.e)]
+    for a, b in itertools.product(monomials, repeat=2):
+        fa, fb = ap(a), ap(b)
+        if ap(Ks.add(a, b)) != Kt.add(fa, fb):
             raise RuntimeError("embedding is not additive")
-        if emb.apply_index(Ks.mul(a, b)) != Kt.mul(fa, fb):
+        if ap(Ks.mul(a, b)) != Kt.mul(fa, fb):
             raise RuntimeError("embedding is not multiplicative")
-        if a in seen and seen[a] != fa:
-            raise RuntimeError("embedding is not a function")
-        seen[a] = fa
-        if fa == 0 and a != 0:
-            raise RuntimeError("embedding is not injective")
 
 
 @functools.lru_cache(maxsize=None)

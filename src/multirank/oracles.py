@@ -12,9 +12,9 @@ import math
 from itertools import product
 from typing import Sequence
 
-from .counting import DEFAULT_BUDGET_BITS, _contract_poly_first
+from .counting import DEFAULT_BUDGET_BITS
 from .errors import BudgetError
-from .field import kernel
+from .field import _contract_poly_first, kernel
 from .tensor import MultilinearForm
 
 

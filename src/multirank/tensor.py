@@ -258,8 +258,10 @@ def base_change(F: MultilinearForm, emb: FieldEmbedding) -> MultilinearForm:
     """Coefficients mapped through the embedding; d and n unchanged."""
     if F.field != emb.source:
         raise ValueError("form is not defined over the embedding source")
-    ap = emb.apply_index
-    return MultilinearForm(emb.target, F.d, F.n, tuple(ap(c) for c in F.coeffs))
+    # past degree 1 the source has at most 2^10 elements (the target at most
+    # MAX_FIELD_SIZE = 2^20), so its image table is small and built once
+    ap = emb._images.__getitem__ if emb.degree > 1 else emb.apply_index
+    return MultilinearForm(emb.target, F.d, F.n, tuple(map(ap, F.coeffs)))
 
 
 def weil_restrict(F: MultilinearForm, emb: FieldEmbedding) -> MultilinearForm:

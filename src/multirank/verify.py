@@ -25,6 +25,7 @@ from .field import FieldSpec, embed, make_field
 from .counting import (
     BoxSpec,
     _count_sf_lines,
+    _Plan,
     box_solutions,
     count_box,
     count_NR,
@@ -243,9 +244,12 @@ def verify_lift_threshold(G: IntMultilinearForm, L: int, sigma: float,
 # ---------------------------------------------------------------------------
 
 def _affordable_level(F: MultilinearForm, l_max: int, budget_bits: float) -> int:
-    """The largest level l <= l_max whose count_SF slice enumeration fits the budget, but not below 2."""
+    """The largest level l <= l_max whose count_SF slice enumeration fits the budget, but not below 2.
+
+    The exponent is count_SF's own gate, read from the counting plan (_Plan.bits).
+    """
     lm = l_max
-    while lm > 2 and (F.d - 2) * F.n * lm * math.log2(F.field.q) > budget_bits:
+    while lm > 2 and _Plan.bits(F, lm) > budget_bits:
         lm -= 1
     return lm
 

@@ -424,3 +424,24 @@ def test_a_closed_stdout_pipe_exits_141_quietly(tmp_path, argv, tensor, keep):
     stderr = proc.stderr.read()
     assert proc.wait() == 141
     assert stderr == b"" and len(head) == (8 if keep == "line" else keep)
+
+
+def test_ci_entry_point_script_passes(tmp_path):
+    """tests/entry_point.sh, the CI step that runs the installed console
+    script, run as CI runs it (bash -eo pipefail, RUNNER_TEMP set) with a
+    `python -m multirank.cli` shim named multirank on PATH. It pins the
+    sha256 of the weil, scale-charp, eval-fibers, lift and poly reports and
+    checks exit codes and fast-against-naive counts."""
+    root = Path(__file__).resolve().parents[1]
+    bin_dir, runner_temp = tmp_path / "bin", tmp_path / "runner"
+    bin_dir.mkdir()
+    runner_temp.mkdir()
+    shim = bin_dir / "multirank"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m multirank.cli "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ, RUNNER_TEMP=str(runner_temp),
+               PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]),
+               PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(["bash", "-eo", "pipefail", str(root / "tests" / "entry_point.sh")],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, (proc.stdout[-3000:], proc.stderr[-3000:])

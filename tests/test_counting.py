@@ -1127,10 +1127,23 @@ def deficient_form(field, d, n, s, partly=False):
 
 
 METAMORPHIC_FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 5: F5, 9: F9}
-# (q, l, n, d) over F_2, F_3, F_4, F_5, F_9, l <= 2, n <= 4, d in {3, 4}, with at
-# most 2^13 projective (d-2)-tuples at level l
-METAMORPHIC_SHAPES = [(q, l, n, d) for q in METAMORPHIC_FIELDS for l in (1, 2) for n in (1, 2, 3, 4)
-                      for d in (3, 4) if ((q ** (l * n) - 1) // (q ** l - 1)) ** (d - 2) <= 1 << 13]
+
+
+def projective_count(Q, m):
+    return (Q ** m - 1) // (Q - 1)
+
+
+def kernel_lines(Q, n, d):
+    """The lines the count_SF line kernel takes at d and Q, before Frobenius orbits."""
+    return projective_count(Q, n) ** (d - 3) * projective_count(Q, n - 1)
+
+
+# (q, L, n, d) over F_2, F_3, F_4, F_5, F_9, L <= 3, n <= 4, d in {3, 4}, with at
+# most 2^13 projective (d-2)-tuples at level L, and L = 3 only where the line
+# kernel takes at most 2^9 lines there
+METAMORPHIC_SHAPES = [(q, L, n, d) for q in METAMORPHIC_FIELDS for L in (1, 2, 3) for n in (1, 2, 3, 4)
+                      for d in (3, 4) if projective_count(q ** L, n) ** (d - 2) <= 1 << 13
+                      and (L < 3 or kernel_lines(q ** L, n, d) <= 1 << 9)]
 METAMORPHIC_KINDS = SF_KINDS + ("singular B", "pulled back", "partly deficient")
 
 
@@ -1146,8 +1159,10 @@ def test_count_sf_invariant_under_slot_bases_and_permutations_property(shape, ki
     this. Summing psi(F(x)) over all of V^d for a nontrivial additive
     character psi gives Q^n |S_F| whichever slot is summed last, so every
     slot may be the last. A permuted form hands the line kernel other
-    pencils, and a non-concise one other pivot coordinates for its core."""
-    q, l, n, d = shape
+    pencils, and a non-concise one other pivot coordinates for its core.
+    Every level of sf_profile up to L is compared: a permuted or re-based
+    copy is another form, with its own plan (cubes and set-ups)."""
+    q, L, n, d = shape
     field = METAMORPHIC_FIELDS[q]
     K, rnd = kernel(field), random.Random(s)
     F = singular_last_block(field, d, n, s) if kind == "singular B" and n > 1 else sf_test_form(kind, field, d, n, s)
@@ -1156,9 +1171,55 @@ def test_count_sf_invariant_under_slot_bases_and_permutations_property(shape, ki
         A = [[rnd.randrange(q) for _ in range(n)] for _ in range(n)]
         if matrix_rank([row[:] for row in A], n, K) == n:
             mats.append(A)
-    G, want = transformed(F, mats), count_SF(F, l)
+    G, want = transformed(F, mats), sf_profile(F, L)
     for perm in itertools.permutations(range(d)):
-        assert count_SF(permuted(G, perm), l) == want, (mats, perm)
+        assert sf_profile(permuted(G, perm), L) == want, (mats, perm)
+
+
+PLAN_KINDS = ("random", "partly deficient", "direct sum", "diagonal")
+# (q, L, n, d) over F_2, F_3, F_4, F_5, F_9, 2 <= n <= 4, d in {3, 4}: the
+# highest L <= 3, and at least 2, at which the line kernel takes at most 2^9 lines
+PLAN_SHAPES = [(q, max(Ls), n, d) for q in METAMORPHIC_FIELDS for n in (2, 3, 4) for d in (3, 4)
+               if (Ls := [L for L in (2, 3) if kernel_lines(q ** L, n, d) <= 1 << 9])]
+
+
+def plan_test_form(kind, field, d, n, s):
+    if kind == "direct sum":  # two random summands, of sides a and n - a
+        a = 1 + s % (n - 1)
+        return direct_sum(random_form(field, d, a, s), random_form(field, d, n - a, s + 1))
+    if kind == "diagonal":
+        return diagonal(s % (n + 1), n, d, field)
+    return sf_test_form(kind, field, d, n, s)
+
+
+@seed(20261022)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PLAN_SHAPES), st.sampled_from(PLAN_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_sf_profile_plan_matches_per_level_counts_property(shape, kind, s):
+    """sf_profile counts every level of F through one plan: its cubes, and
+    each d = 3 cube's characteristic polynomial set-up, made over F_q at the
+    first level that takes that route and mapped into F_Q at the others.
+    An equal but separate copy of F is counted level by level, top level
+    first, with a fresh plan at each level, and by _count_sf_lines, which
+    counts the whole form with no plan and solves its set-up over F_Q on
+    every call; the literal enumeration joins where it fits. Both by the
+    default route choice and with the characteristic polynomial route
+    forced. Over F_4 and F_9 the indices of F_q and of F_Q differ, so a
+    set-up left unmapped at l >= 2 would miscount; over a prime field they
+    coincide on F_q."""
+    q, L, n, d = shape
+    F = plan_test_form(kind, METAMORPHIC_FIELDS[q], d, n, s)
+    for chi in (None, True):
+        with line_route(chi=chi):
+            counting._plan.cache_clear()
+            got = dict(sf_profile(F, L).entries)
+            G = MultilinearForm(F.field, d, n, tuple(F.coeffs))
+            for l in range(L, 0, -1):
+                counting._plan.cache_clear()
+                assert count_SF(G, l) == got[l], (chi, l)
+                assert counting._count_sf_lines(G, l) == got[l], (chi, l)
+                if (q ** l) ** (n * (d - 1)) <= 1 << 12:
+                    assert count_SF_naive(G, l) == got[l], (chi, l)
 
 
 CORE_FIELDS = {2: F2, 3: F3, 4: make_field(2, 2)}

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from multirank.errors import BudgetError
 from multirank.field import (
     FieldElement,
+    FieldEmbedding,
     FieldSpec,
+    _check_embedding,
     _is_irreducible,
     _poly_field_roots,
     _poly_mul_trunc,
@@ -367,6 +369,51 @@ def test_embedding_is_ring_hom_on_full_f4():
             assert emb.apply(a * b) == emb.apply(a) * emb.apply(b)
     images = {emb.apply(a) for a in els}
     assert len(images) == F4.q
+
+
+@pytest.mark.parametrize("p,e,l", [(2, 2, 2), (3, 2, 2), (2, 4, 2), (3, 3, 2)],
+                         ids=["F4-F16", "F9-F81", "F16-F256", "F27-F729"])
+def test_check_embedding_accepts_exactly_the_roots(p, e, l):
+    """_check_embedding is exact: of the FieldEmbeddings that send the
+    source generator to some element z of the target, it accepts those
+    where z is a root of the source modulus, each a ring embedding, and
+    raises on every other z."""
+    src, tgt = make_field(p, e), make_field(p, e * l)
+    K = kernel(tgt)
+    roots = 0
+    for z in range(tgt.q):
+        acc = 0
+        for c in reversed(src.modulus):  # a prime scalar c has index c
+            acc = K.add(K.mul(acc, z), c)
+        emb = FieldEmbedding(src, tgt, tgt.element(z))
+        if acc == 0:
+            roots += 1
+            _check_embedding(emb)
+        else:
+            with pytest.raises(RuntimeError):
+                _check_embedding(emb)
+    assert roots == e  # the e conjugates of the generator
+
+
+# every p^e -> p^(e l) up to p^(e l) = 2^12, with p < 64; the counting tests
+# build F_2 up to l = 10, F_3 up to l = 6, F_4 up to l = 5 and F_9 up to l = 3
+EMBEDDINGS = [(p, e, l) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+              for e in range(1, 13) for l in range(1, 13) if p ** (e * l) <= 1 << 12]
+
+
+def test_check_embedding_accepts_every_embed():
+    """embed checks its result on construction; the exact check passes on
+    every embed between the fields up to 2^12 elements, and on each it
+    agrees with the whole ring-homomorphism table of a small source."""
+    for p, e, l in EMBEDDINGS:
+        src, tgt = make_field(p, e), make_field(p, e * l)
+        emb = embed(src, tgt)
+        _check_embedding(emb)
+        if src.q <= 16:
+            Ks, Kt = kernel(src), kernel(tgt)
+            for a, b in itertools.product(range(src.q), repeat=2):
+                assert emb.apply_index(Ks.mul(a, b)) == Kt.mul(emb.apply_index(a), emb.apply_index(b))
+                assert emb.apply_index(Ks.add(a, b)) == Kt.add(emb.apply_index(a), emb.apply_index(b))
 
 
 def test_is_prime_small():

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import pytest
 
 from multirank.charzero import _lift_zone, lift_height_bound
 from multirank.cli import EXIT_VERIFY_FAILURE, main
 from multirank.field import make_field
-from multirank.counting import BoxSpec, DEFAULT_BUDGET_BITS, box_solutions, zero_fiber_target
+from multirank.counting import BoxSpec, DEFAULT_BUDGET_BITS, box_solutions, count_SF, zero_fiber_target
+from multirank.errors import BudgetError
 from multirank.oracles import count_fiber
 from multirank.tensor import (
     MultilinearForm,
@@ -22,6 +24,7 @@ from multirank.tensor import (
 from multirank.tensorio import form_from_dict, form_to_dict, load_tensor
 from multirank.verify import (
     VerifyReport,
+    _affordable_level,
     run_suite,
     verify_eval_fibers,
     verify_lift_threshold,
@@ -389,3 +392,27 @@ def test_failures_empty_iff_passed():
 def test_unknown_suite():
     with pytest.raises(ValueError):
         run_suite("nope", seed=1)
+
+
+@pytest.mark.parametrize("p,e,n,d,top", [(2, 1, 3, 3, 5), (3, 1, 2, 3, 5), (5, 1, 1, 3, 5),
+                                         (3, 2, 2, 3, 3), (3, 1, 2, 4, 4), (2, 2, 2, 4, 3)])
+def test_affordable_level_reads_the_count_sf_gate(p, e, n, d, top):
+    """_affordable_level asks count_SF's plan for the gate's exponent. At a
+    budget exactly at level l's exponent, as count_SF's gate computes it, it
+    picks l, count_SF counts at l and raises BudgetError at l + 1; one ulp
+    below, it picks l - 1 and count_SF raises at l. (d-2) n log2(q^l) and
+    (d-2) n l log2(q) differ in the last bit at q = 3, l = 5, so a second
+    copy of the formula can pick a level the gate refuses."""
+    F = random_form(make_field(p, e), d, n, 100 * p + 10 * n + d)
+    for l in range(3, top + 1):
+        with pytest.raises(BudgetError) as err:
+            count_SF(F, l, budget_bits=0)
+        at = err.value.bits
+        assert _affordable_level(F, top + 1, at) == l
+        assert count_SF(F, l, at) >= 1
+        with pytest.raises(BudgetError):
+            count_SF(F, l + 1, at)
+        below = math.nextafter(at, 0)
+        assert _affordable_level(F, top + 1, below) == l - 1
+        with pytest.raises(BudgetError):
+            count_SF(F, l, below)
